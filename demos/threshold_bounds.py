@@ -2,7 +2,7 @@
 """Exact thresholds, their closed-form sandwich, and the regime inequalities.
 
 m*(N, p) is the largest draw count that still misses the marked elements
-with probability at least 1/2.  The log-Gamma bounds pin it from both sides,
+with probability at least 1/2.  The closed-form bounds pin it from both sides,
 and the threshold theorem's two inequalities quantify how fast the hit
 probability moves once the draw count leaves m* by a factor theta.
 """

@@ -9,7 +9,7 @@ The package decomposes the construction into small, exactly testable pieces:
                   toy diagonal language
 - ``reduction``   square casting and the order-preserving block reduction
 - ``threshold``   exact urn hit probabilities, the threshold m*, and its
-                  closed-form log-Gamma bounds
+                  closed-form bounds
 - ``bitsampler``  deterministic uniform selection from a finite bit tape
 - ``owf``         threshold sampling, the bit-encoding evaluator, and the
                   binary-search inversion demo

@@ -118,21 +118,10 @@ def _criterion_3(config: VerifyConfig) -> tuple[bool, str]:
 def _criterion_4(config: VerifyConfig) -> tuple[bool, str]:
     violations = 0
     checked = 0
-    for N in range(10, 201):
-        for good in range(1, N):
-            mstar = threshold.exact_threshold(N, good)
-            for theta in (1, 2, 4):
-                m_below = mstar // theta
-                v = threshold.bollobas_check(N, good, theta, m_below, mstar=mstar)
-                checked += 1
-                if v.holds is False:
-                    violations += 1
-                m_above = theta * (mstar + 1)
-                if m_above <= N:
-                    v = threshold.bollobas_check(N, good, theta, m_above, mstar=mstar)
-                    checked += 1
-                    if v.holds is False:
-                        violations += 1
+    for v in threshold.bollobas_grid(200):
+        checked += 1
+        if v.holds is False:
+            violations += 1
     return violations == 0, (
         f"{checked} exact inequality checks over N in [10, 200], theta in "
         f"{{1, 2, 4}}: {violations} violations"

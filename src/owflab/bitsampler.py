@@ -41,7 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import BudgetError, TapeExhausted
+from .errors import BudgetError, InvariantViolation, TapeExhausted
 
 _BYTE_BITS = [format(i, "08b") for i in range(256)]
 
@@ -182,7 +182,8 @@ def bias_profile(k: int, range_size: int) -> BiasProfile:
     if k < 1 or range_size < 1:
         raise ValueError("need k >= 1 and range_size >= 1")
     counts = tuple(_interval_count(i, range_size, k) for i in range(range_size))
-    assert sum(counts) == 1 << k
+    if sum(counts) != 1 << k:
+        raise InvariantViolation(f"interval counts sum to {sum(counts)}, not 2**{k}")
     probs = tuple(Fraction(c, 1 << k) for c in counts)
     target = Fraction(1, range_size)
     max_dev = max(abs(p - target) for p in probs)
@@ -271,7 +272,8 @@ def permutation_distribution(N: int, k: int) -> PermutationDistribution:
             )
 
     walk(list(range(1, N + 1)), Fraction(1), ())
-    assert sum(probs.values()) == 1
+    if sum(probs.values()) != 1:
+        raise InvariantViolation("permutation probabilities do not sum to 1")
     uniform = Fraction(1, math.factorial(N))
     lower = Fraction((2**N - 1) ** N, 2 ** (N * N)) * uniform
     min_p = min(probs.values())
@@ -298,21 +300,6 @@ def subset_distribution(N: int, m: int, k: int) -> dict[frozenset, Fraction]:
     return out
 
 
-def enumerate_draw_counts(k: int, range_size: int) -> list[int]:
-    """Literal enumeration oracle over all 2**k tapes (tests only; small k)."""
-    if k > 16:
-        raise BudgetError("literal enumeration limited to k <= 16")
-    counts = [0] * range_size
-    for r_num in range(1 << k):
-        counts[(r_num * range_size) >> k] += 1
-    return counts
-
-
-def total_selection_bits(urn_size: int, k: int | None = None) -> int:
-    """Exact tape consumption of one subset selection from an urn."""
-    return urn_size * (paper_k(urn_size) if k is None else k)
-
-
 __all__ = [
     "BIAS_PROFILE_MAX_K",
     "BiasProfile",
@@ -321,7 +308,6 @@ __all__ = [
     "SelectionResult",
     "bias_profile",
     "draw_integer",
-    "enumerate_draw_counts",
     "expand_seed_bits",
     "fisher_yates",
     "paper_k",
@@ -330,5 +316,4 @@ __all__ = [
     "profile_k",
     "select_subset",
     "subset_distribution",
-    "total_selection_bits",
 ]

@@ -3,7 +3,9 @@ suite, emitting CSV or JSON.
 
 Every run is reproducible from its configuration: all randomness flows
 through the documented seed expansion.  Exit status encodes the outcome:
-0 clean, 1 when a verification found violations, 2 for usage errors.
+0 clean, 1 when a verification found violations, 2 for usage errors
+(including a bad value in a --config file), 3 when the program crashed on
+an unexpected exception, which is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -39,24 +41,38 @@ PER_COMMAND_DEFAULTS = {
             "k_profile": "paper"},
 }
 
+# (type, choices) of each shared flag.  argparse applies them to flags, and
+# _merge_config holds --config file values to the same.
+FLAG_TYPES = {
+    "seed": (int, None),
+    "beta": (int, None),
+    "alpha": (str, None),
+    "n": (int, None),
+    "ell": (int, None),
+    "trials": (int, None),
+    "oracle": (str, None),
+    "k_profile": (str, ("paper", "practical")),
+    "format": (str, ("csv", "json")),
+    "out": (str, None),
+}
+
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--beta", type=int)
-    common.add_argument("--alpha", help="rational like 8 or 50/3")
-    common.add_argument("--n", type=int)
-    common.add_argument("--ell", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--oracle")
-    common.add_argument("--k-profile", dest="k_profile", choices=["paper", "practical"])
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--out")
+    for key, (kind, choices) in FLAG_TYPES.items():
+        common.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=kind,
+            choices=choices,
+            help="rational like 8 or 50/3" if key == "alpha" else None,
+        )
 
     parser = argparse.ArgumentParser(
         prog="owflab",
@@ -79,17 +95,38 @@ def _merge_config(args: argparse.Namespace) -> dict:
     merged = dict(DEFAULTS)
     merged.update(PER_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise SystemExit(f"cannot read config file: {exc}") from None
+        if not isinstance(file_values, dict):
+            raise SystemExit("the config file must hold a JSON object")
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_config_value(key, value)
         merged.update(file_values)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _check_config_value(key: str, value) -> None:
+    """Refuse a file value the flag would not accept.  JSON values are
+    already typed, so they are checked rather than converted: "7" is not an
+    integer, and true is not one either.  null keeps a default of null."""
+    kind, choices = FLAG_TYPES[key]
+    if value is None and DEFAULTS[key] is None:
+        return
+    if type(value) is not kind:
+        want = "an integer" if kind is int else "a string"
+        raise SystemExit(f"config key {key!r}: {value!r} is not {want}")
+    if choices and value not in choices:
+        raise SystemExit(f"config key {key!r}: {value!r} is not one of {list(choices)}")
 
 
 def _resolve_oracle(name: str) -> languages.LanguageOracle:
@@ -115,9 +152,12 @@ def _parse_alpha(value) -> Fraction | None:
 def _write(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write the output: {exc}") from None
 
 
 def _timestamp() -> str:
@@ -174,19 +214,10 @@ def _cmd_threshold(cfg: dict) -> int:
             (N, good, mstar, lo, up, float(pr_at), float(pr_after), ok)
         )
     grid_rows = []
-    for N in range(10, min(n_max, 200) + 1):
-        for good in range(1, N):
-            mstar = threshold.exact_threshold(N, good)
-            for theta in (1, 2, 4):
-                for m in (mstar // theta, theta * (mstar + 1)):
-                    if m > N:
-                        continue
-                    v = threshold.bollobas_check(N, good, theta, m, mstar=mstar)
-                    grid_rows.append(
-                        (N, good, theta, m, v.regime, v.holds)
-                    )
-                    if v.holds is False:
-                        violations += 1
+    for v in threshold.bollobas_grid(min(n_max, 200)):
+        grid_rows.append((v.N, v.good, int(v.theta), v.m, v.regime, v.holds))
+        if v.holds is False:
+            violations += 1
     if cfg["format"] == "json":
         text = json.dumps(
             {
@@ -337,6 +368,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_USAGE
         return exc.code if exc.code is not None else EXIT_OK
+    except Exception as exc:
+        # A crash must not read as a verdict (exit 1) or as bad usage.
+        print(f"owflab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

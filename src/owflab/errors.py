@@ -15,3 +15,8 @@ class DegenerateParameters(ValueError):
 
 class ContractViolation(RuntimeError):
     """A caller-supplied callable broke the contract it was declared under."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal invariant failed.  Raised explicitly, so the check also
+    runs under ``python -O``."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantViolation
 from .words import Word, goedel_inverse, word_value
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -284,7 +284,8 @@ def calibrate_d_pow_beta(
         ratio = Fraction(dens**oracle.beta, x)
         if best is None or ratio < best:
             best = ratio
-    assert best is not None
+    if best is None:
+        raise InvariantViolation(f"no density point in [{x0}, {limit}]")
     return best
 
 

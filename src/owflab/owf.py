@@ -29,8 +29,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .bitsampler import BitTape, profile_k, select_subset
-from .errors import ContractViolation, DegenerateParameters, TapeExhausted
-from .languages import LanguageOracle, density
+from .errors import (
+    ContractViolation,
+    DegenerateParameters,
+    InvariantViolation,
+    TapeExhausted,
+)
+from .languages import LanguageOracle
 from .threshold import (
     SamplerParams,
     hit_probability,
@@ -47,8 +52,12 @@ class InstanceSet:
     urn_bound: int
 
     def __post_init__(self):
-        assert list(self.members) == sorted(set(self.members))
-        assert all(1 <= i <= self.urn_bound for i in self.members)
+        if list(self.members) != sorted(set(self.members)):
+            raise InvariantViolation(f"members {self.members} not sorted and distinct")
+        if not all(1 <= i <= self.urn_bound for i in self.members):
+            raise InvariantViolation(
+                f"members {self.members} outside the urn [1, {self.urn_bound}]"
+            )
 
     def indicator_word(self) -> Word:
         present = set(self.members)
@@ -65,7 +74,8 @@ class OwfOutput:
     def __post_init__(self):
         cards = {len(w.members) for w in self.sets}
         bounds = {w.urn_bound for w in self.sets}
-        assert len(cards) <= 1 and len(bounds) <= 1, "output shape must not vary"
+        if len(cards) > 1 or len(bounds) > 1:
+            raise InvariantViolation("output shape must not vary")
 
     def encode(self) -> Word:
         """Fixed-width indicator encoding, n * N bits."""
@@ -384,12 +394,6 @@ def _check_monotone(answers: dict[int, bool]) -> None:
         )
 
 
-def oracle_good_count(oracle: LanguageOracle, N: int) -> int:
-    """Number of urn positions 1..N whose word is an oracle member (equals
-    the oracle's density at N)."""
-    return density(oracle, N)
-
-
 __all__ = [
     "BijectivityReport",
     "InstanceSet",
@@ -398,7 +402,6 @@ __all__ = [
     "binary_search_invert",
     "compute_n",
     "hit_test",
-    "oracle_good_count",
     "owf_evaluate",
     "ptsamp",
     "round_consumption",

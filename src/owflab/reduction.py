@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantViolation
 from .languages import LanguageOracle
 from .turing import header_length
 from .words import Word, min_word, word_value
@@ -141,7 +141,8 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
     result = PhiImage(
         source=w, code=code, lam=lam, k=k, nu=nu, delta=delta, image=image
     )
-    assert result.code_block == code and result.source_block == w
+    if result.code_block != code or result.source_block != w:
+        raise InvariantViolation(f"blocks of {image!r} do not recover code and w")
     return result
 
 
@@ -205,13 +206,3 @@ def density_transfer_check(
         image_count = sum(1 for img in member_images if img <= phi_w)
         points.append(TransferPoint(w, source_count, image_count))
     return TransferReport(tuple(points))
-
-
-def square_cast_csv_rows(
-    words: Iterable[Word],
-) -> Iterator[tuple[int, int, bool, bool]]:
-    """Rows (x, delta, bitlen_bound_ok, header_preserved)."""
-    for w in words:
-        x = word_value(w)
-        cast = square_cast(w)
-        yield x, cast.delta, delta_bitlength_ok(x, cast.delta), cast.header_preserved

@@ -11,11 +11,10 @@ sandwich derived from factorial-ratio bounds is
 
     mu_lower = floor(1 + N(1-p) - r)      mu_upper = ceil(N - r)
 
-with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  Two independent
-routes compute the bounds: a log-Gamma kernel at 80+ bit precision with a
-2**-30 snapping guard before floor/ceil, and a pure big-integer route that
-brackets r by comparing 2*t**(pN) against the falling factorial.  The
-big-integer route is exact and serves as the oracle for the kernel.
+with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  The bounds are
+computed exactly, in one place: ``mu_bounds_exact`` brackets r between
+consecutive integers by comparing 2*t**(pN) against the falling factorial
+N!/((1-p)N)!, so floor and ceil need no precision argument.
 
 m(N), the number of elements the sampler actually draws, is
 floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, with
@@ -27,13 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import mpmath
 
-KERNEL_PRECISION_BITS = 96  # "80-bit equivalent" with headroom
-GUARD = Fraction(1, 2**30)
+from .errors import InvariantViolation
 
 DEFAULT_ALPHA_SMALL_BETA = Fraction(8)  # convention for beta <= 2, where the
 # closed form for alpha blows up; any alpha > 1 is admissible there.
@@ -55,14 +52,6 @@ def hit_probability(N: int, good: int, k: int) -> Fraction:
         num *= N - good - j
         den *= N - j
     return 1 - Fraction(num, den)
-
-
-def hit_probability_binomial(N: int, good: int, k: int) -> Fraction:
-    """Independent route: 1 - C(N-good, k)/C(N, k)."""
-    _check_urn(N, good)
-    if k < 0 or k > N:
-        raise ValueError(f"draw count k={k} outside [0, {N}]")
-    return 1 - Fraction(math.comb(N - good, k), math.comb(N, k))
 
 
 def _check_urn(N: int, good: int) -> None:
@@ -105,26 +94,6 @@ class MuBounds(NamedTuple):
     root: float  # the root term r, for reporting
 
 
-@lru_cache(maxsize=None)
-def _lngamma(arg: int) -> mpmath.mpf:
-    with mpmath.workprec(KERNEL_PRECISION_BITS):
-        return mpmath.loggamma(arg)
-
-
-def _guarded_int(value: mpmath.mpf, mode: str) -> int:
-    """floor/ceil with a +-2**-30 snap to the nearest integer.
-
-    The kernel's true error is far below the guard, so a value this close to
-    an integer means the exact quantity is that integer (e.g. the root term
-    of a perfect-power falling factorial) and is rounded to it before the
-    floor or ceil is applied.
-    """
-    nearest = int(mpmath.nint(value))
-    if abs(value - nearest) <= mpmath.mpf(GUARD.numerator) / GUARD.denominator:
-        return nearest
-    return int(mpmath.floor(value)) if mode == "floor" else int(mpmath.ceil(value))
-
-
 def _validate_p(N: int, p: Fraction) -> int:
     p = Fraction(p)
     good = p * N
@@ -138,26 +107,18 @@ def _validate_p(N: int, p: Fraction) -> int:
 def mu_bounds(
     N: int, p: Fraction, *, check_sandwich: bool = True
 ) -> MuBounds:
-    """Closed-form threshold bounds via the log-Gamma kernel.
+    """Closed-form threshold bounds, as computed by ``mu_bounds_exact``.
 
     When ``check_sandwich`` is on and the urn is nondegenerate, the sandwich
-    max(0, lower) <= m*(N, p) <= upper is asserted against the exact
-    threshold.
+    max(0, lower) <= m*(N, p) <= upper is checked against the exact
+    threshold and a failure raises InvariantViolation.
     """
-    if N < 2:
-        raise ValueError("the bounds need N >= 2")
-    good = _validate_p(N, p)
-    with mpmath.workprec(KERNEL_PRECISION_BITS):
-        exponent = (_lngamma(N + 1) - _lngamma(N - good + 1) - mpmath.log(2)) / good
-        root = mpmath.exp(exponent)
-        lower = _guarded_int(1 + (N - good) - root, "floor")
-        upper = _guarded_int(N - root, "ceil")
-        root_f = float(root)
-    bounds = MuBounds(lower, upper, max(0, lower), root_f)
+    bounds = mu_bounds_exact(N, p)
+    good = int(Fraction(p) * N)
     if check_sandwich and 1 <= good <= N - 1:
         mstar = exact_threshold(N, good)
         if not bounds.lower_clamped <= mstar <= bounds.upper:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"sandwich violated at N={N}, good={good}: "
                 f"{bounds.lower_clamped} <= {mstar} <= {bounds.upper} fails"
             )
@@ -165,7 +126,7 @@ def mu_bounds(
 
 
 def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
-    """Pure big-integer route for the same bounds.
+    """The bounds in big-integer arithmetic.
 
     Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r), with
     ceil(r)/floor(r) bracketed by exact comparisons of 2*t**g against the
@@ -175,9 +136,10 @@ def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
         raise ValueError("the bounds need N >= 2")
     good = _validate_p(N, p)
     ff = math.perm(N, good)
-    # Estimate r = (ff/2)**(1/good) in floats, then correct exactly.
-    est = math.exp((math.lgamma(N + 1) - math.lgamma(N - good + 1) - math.log(2)) / good)
-    floor_r = max(0, int(est))
+    # r = (ff/2)**(1/good) in floats: the reported root, and the start of
+    # the exact bracketing.
+    root = math.exp((math.log(ff) - math.log(2)) / good)
+    floor_r = max(0, int(root))
     while 2 * floor_r**good > ff:
         floor_r -= 1
     while 2 * (floor_r + 1) ** good <= ff:
@@ -185,40 +147,7 @@ def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
     ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
     lower = 1 + (N - good) - ceil_r
     upper = N - floor_r
-    return MuBounds(lower, upper, max(0, lower), float(est))
-
-
-@dataclass(frozen=True)
-class ThresholdInstance:
-    """One urn with its exact threshold and continuous bounds.
-
-    p is the exact rational good/N (so p*N is an integer by construction);
-    for nondegenerate urns the construction enforces
-    max(0, mu_lower) <= mstar <= mu_upper.
-    """
-
-    N: int
-    good: int
-    p: Fraction
-    mstar: int
-    mu_lower: int
-    mu_upper: int
-
-
-def threshold_instance(N: int, good: int) -> ThresholdInstance:
-    _check_urn(N, good)
-    mstar = exact_threshold(N, good)
-    if 0 < good < N:
-        mb = mu_bounds(N, Fraction(good, N))  # sandwich asserted inside
-        lower, upper = mb.lower, mb.upper
-    else:
-        # The mu formulas put p in a denominator; degenerate urns carry the
-        # defining max-set limits instead.
-        lower, upper = mstar, mstar
-    return ThresholdInstance(
-        N=N, good=good, p=Fraction(good, N), mstar=mstar,
-        mu_lower=lower, mu_upper=upper,
-    )
+    return MuBounds(lower, upper, max(0, lower), root)
 
 
 def derive_constants(beta: int | Fraction) -> tuple[Fraction, Fraction]:
@@ -253,15 +182,9 @@ class SamplerParams:
     m_degenerate: bool
 
 
-class DrawCount(NamedTuple):
-    m: int
-    degenerate: bool  # set when the unclamped value fell below 1
-    mu_lower: int
-
-
 def _floor_scaled_by_root(value: int, N: int, alpha: Fraction) -> int:
     """floor(value * N**(-1/alpha)) exactly: the largest m with
-    m**alpha.num * N**alpha.den <= value**alpha.num."""
+    m**alpha.num * N**alpha.den <= value**alpha.num (0 for value <= 0)."""
     if value <= 0:
         return 0
     a_num, a_den = alpha.numerator, alpha.denominator
@@ -273,16 +196,6 @@ def _floor_scaled_by_root(value: int, N: int, alpha: Fraction) -> int:
     while (m + 1) ** a_num * N**a_den <= target:
         m += 1
     return m
-
-
-def _raw_draw_count(N: int, p_upper: Fraction, alpha: Fraction) -> DrawCount:
-    mu = mu_bounds_exact(N, p_upper).lower if N >= 2 else 0
-    if mu <= 0:
-        return DrawCount(1, True, mu)
-    m = _floor_scaled_by_root(mu, N, alpha)
-    if m < 1:
-        return DrawCount(1, True, mu)
-    return DrawCount(m, False, mu)
 
 
 def sampler_params(
@@ -307,7 +220,9 @@ def sampler_params(
     s = n ** (2 * beta - 1)
     p_upper = Fraction(n**beta, N)
     p_lower = None if d is None else d * n**2 / N
-    draw = _raw_draw_count(N, p_upper, alpha)
+    # The unclamped draw count; below 1 it is clamped and flagged degenerate.
+    mu = mu_bounds_exact(N, p_upper).lower if N >= 2 else 0
+    m = _floor_scaled_by_root(mu, N, alpha)
     return SamplerParams(
         n=n,
         beta=beta,
@@ -317,15 +232,9 @@ def sampler_params(
         s=s,
         p_upper=p_upper,
         p_lower=p_lower,
-        m=draw.m,
-        m_degenerate=draw.degenerate,
+        m=max(1, m),
+        m_degenerate=m < 1,
     )
-
-
-def draw_count(params: SamplerParams) -> DrawCount:
-    """m(N) = floor(N**(-1/alpha) * mu_lower(N, p_upper)), clamped to >= 1
-    with the degeneracy flag set when the unclamped value was < 1."""
-    return _raw_draw_count(params.N, params.p_upper, params.alpha)
 
 
 @dataclass(frozen=True)
@@ -374,6 +283,20 @@ def bollobas_check(
         holds = None
         regime = "between"
     return BollobasVerdict(N, good, theta, m, mstar, regime, holds, pr)
+
+
+def bollobas_grid(n_max: int = 200) -> Iterator[BollobasVerdict]:
+    """The regime grid: for N in [10, n_max], 1 <= good < N and theta in
+    {1, 2, 4}, the verdicts at m = m*//theta (below the threshold) and at
+    m = theta*(m*+1) (above it, where that is at most N)."""
+    for N in range(10, n_max + 1):
+        for good in range(1, N):
+            mstar = exact_threshold(N, good)
+            for theta in (1, 2, 4):
+                yield bollobas_check(N, good, theta, mstar // theta, mstar=mstar)
+                m_above = theta * (mstar + 1)
+                if m_above <= N:
+                    yield bollobas_check(N, good, theta, m_above, mstar=mstar)
 
 
 @dataclass(frozen=True)
@@ -468,22 +391,18 @@ def threshold_table_rows(n_max: int, n_min: int = 4):
 
 __all__ = [
     "BollobasVerdict",
-    "DrawCount",
     "DEFAULT_ALPHA_SMALL_BETA",
     "MuBounds",
     "QuotientRatio",
     "SamplerParams",
-    "ThresholdInstance",
     "bollobas_check",
+    "bollobas_grid",
     "derive_constants",
-    "draw_count",
     "exact_threshold",
     "hit_probability",
-    "hit_probability_binomial",
     "mu_bounds",
     "mu_bounds_exact",
     "quotient_ratio",
     "sampler_params",
-    "threshold_instance",
     "threshold_table_rows",
 ]

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantViolation
 from .words import Word
 
 ACCEPT = 0
@@ -264,7 +264,8 @@ def equivalent_encoding_count(length: int) -> int:
     h = header_length(length)
     count = 2 ** (length - h)
     # 2**(l-h) >= 2**(l - log2(l) - 1)  <=>  h <= log2(l) + 1  <=>  2**h <= 2*l
-    assert 2**h <= 2 * length
+    if 2**h > 2 * length:
+        raise InvariantViolation(f"header length {h} exceeds log2({length}) + 1")
     return count
 
 

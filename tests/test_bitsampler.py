@@ -8,7 +8,6 @@ from owflab.bitsampler import (
     BitTape,
     bias_profile,
     draw_integer,
-    enumerate_draw_counts,
     expand_seed_bits,
     fisher_yates,
     paper_k,
@@ -17,9 +16,16 @@ from owflab.bitsampler import (
     profile_k,
     select_subset,
     subset_distribution,
-    total_selection_bits,
 )
 from owflab.errors import BudgetError, TapeExhausted
+
+
+def enumerate_draw_counts(k, range_size):
+    """Literal enumeration oracle: the index each of the 2**k tapes draws."""
+    counts = [0] * range_size
+    for r_num in range(1 << k):
+        counts[(r_num * range_size) >> k] += 1
+    return counts
 
 
 def test_draw_integer_examples():
@@ -186,10 +192,10 @@ def test_permutation_distribution_budget():
 
 def test_select_subset_edges():
     urn = (10, 20, 30, 40)
-    res = select_subset(BitTape.from_seed(1, total_selection_bits(4, 6)), 0, urn, 6)
+    res = select_subset(BitTape.from_seed(1, 4 * 6), 0, urn, 6)
     assert res.chosen == ()
     assert res.consumed == 4 * 6  # the permutation is drawn regardless
-    res = select_subset(BitTape.from_seed(1, total_selection_bits(4, 6)), 4, urn, 6)
+    res = select_subset(BitTape.from_seed(1, 4 * 6), 4, urn, 6)
     assert res.chosen == (10, 20, 30, 40)
     with pytest.raises(ValueError):
         select_subset(BitTape.from_seed(1, 64), 5, urn, 6)
@@ -198,7 +204,7 @@ def test_select_subset_edges():
 def test_select_subset_cardinality_and_membership():
     urn = tuple(range(1, 17))
     for m in (1, 7, 16):
-        tape = BitTape.from_seed(42, total_selection_bits(16, practical_k(16)))
+        tape = BitTape.from_seed(42, 16 * practical_k(16))
         res = select_subset(tape, m, urn, practical_k(16))
         assert len(res.chosen) == m
         assert set(res.chosen) <= set(urn)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from owflab import cli
 from owflab.cli import main
 
 
@@ -129,6 +130,51 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"elll": 10}))
     assert run_cli(["density", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"seed": "7"},  # a string where the flag takes an integer
+        {"seed": True},
+        {"ell": 60.5},
+        {"alpha": 8},  # the flag takes a string such as "8" or "50/3"
+        {"format": "xml"},
+        {"k_profile": "fast"},
+    ],
+)
+def test_config_file_bad_value_is_usage_error(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run_cli(["owf", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config key" in err and "Traceback" not in err
+
+
+def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):
+    assert run_cli(["owf", "--config", str(tmp_path / "absent.json")]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run_cli(["owf", "--config", str(cfg)]) == 2
+    assert run_cli(["census", "--ell", "4", "--out", str(tmp_path / "no" / "x.csv")]) == 2
+
+
+def test_config_file_typed_values_run(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 99, "alpha": "8", "k_profile": "paper"}))
+    out = tmp_path / "owf.json"
+    assert run_cli(["owf", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["sets"] == [[4], [3]]
+
+
+def test_crash_has_its_own_exit_code(monkeypatch, capsys):
+    def crash(cfg):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "census", crash)
+    assert run_cli(["census"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KeyError" in err
 
 
 @pytest.mark.slow

@@ -1,26 +1,36 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from owflab.bitsampler import BitTape, expand_seed_bits
-from owflab.errors import ContractViolation, DegenerateParameters, TapeExhausted
-from owflab.languages import SQ, power_oracle
+from owflab.errors import (
+    ContractViolation,
+    DegenerateParameters,
+    InvariantViolation,
+    TapeExhausted,
+)
+from owflab.languages import SQ, density, power_oracle
 from owflab.owf import (
     InstanceSet,
     _check_monotone,
     binary_search_invert,
     compute_n,
     hit_test,
-    oracle_good_count,
     owf_evaluate,
     ptsamp,
     round_consumption,
     sampling_error_experiment,
 )
 from owflab.threshold import sampler_params
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_compute_n_examples():
@@ -77,11 +87,35 @@ def test_ptsamp_validates_inputs():
 
 
 def test_instance_set_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         InstanceSet((3, 3), 16)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         InstanceSet((0,), 16)
     assert InstanceSet((3, 12), 16).indicator_word() == "0010000000010000"
+
+
+def test_instance_set_validation_survives_optimize():
+    # python -O strips assert statements; the invariant must still raise.
+    script = (
+        "from owflab.errors import InvariantViolation\n"
+        "from owflab.owf import InstanceSet\n"
+        "assert False  # stripped under -O, so this line must not stop the run\n"
+        "try:\n"
+        "    InstanceSet((3, 3), 16)\n"
+        "except InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_owf_smallest_feasible_input():
@@ -153,8 +187,10 @@ def test_hit_test_examples():
 
 
 def test_oracle_good_count_matches_density():
-    assert oracle_good_count(SQ, 16) == 2  # squares 1 and 4 at indices 3, 12
-    assert oracle_good_count(power_oracle(2), 256) == 11
+    # urn positions 1..N whose word is a member: squares 1 and 4 sit at
+    # indices 3 and 12
+    assert density(SQ, 16) == 2
+    assert density(power_oracle(2), 256) == 11
 
 
 def test_experiment_requires_enough_trials():

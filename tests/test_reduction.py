@@ -10,9 +10,8 @@ from owflab.reduction import (
     next_square_delta,
     reduce_phi,
     square_cast,
-    square_cast_csv_rows,
 )
-from owflab.words import min_word
+from owflab.words import min_word, word_value
 
 CODE = "1011001110"  # a 10-bit stand-in machine code block
 
@@ -196,7 +195,11 @@ def test_density_transfer_strict_somewhere_for_short_full_language():
 
 
 def test_square_cast_csv_rows():
-    rows = list(square_cast_csv_rows(["1010", "10000"]))
+    rows = []
+    for w in ["1010", "10000"]:
+        x, cast = word_value(w), square_cast(w)
+        ok = delta_bitlength_ok(x, cast.delta)
+        rows.append((x, cast.delta, ok, cast.header_preserved))
     # casting 10 to 16 overflows a 4-bit word, so its 2-bit header moves
     assert rows[0] == (10, 6, True, False)
     assert rows[1][1] == 0

@@ -1,25 +1,62 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
+from owflab.errors import InvariantViolation
 from owflab.threshold import (
     DEFAULT_ALPHA_SMALL_BETA,
     bollobas_check,
     derive_constants,
-    draw_count,
     exact_threshold,
     hit_probability,
-    hit_probability_binomial,
     mu_bounds,
     mu_bounds_exact,
     quotient_ratio,
     sampler_params,
     threshold_table_rows,
 )
+
+
+def hit_probability_binomial(N, good, k):
+    """Independent route to Pr(Q_k): 1 - C(N-good, k)/C(N, k)."""
+    return 1 - Fraction(math.comb(N - good, k), math.comb(N, k))
+
+
+# An independent oracle for the bounds: the root term from log-Gamma at 96
+# bits, with values within 2**-30 of an integer snapped to it before the
+# floor or ceil (the kernel's error is far below the guard, so such a value
+# is that integer, e.g. the root of a perfect-power falling factorial).
+KERNEL_PRECISION_BITS = 96
+GUARD = mpmath.mpf(2) ** -30
+
+
+@lru_cache(maxsize=None)
+def _lngamma(arg):
+    with mpmath.workprec(KERNEL_PRECISION_BITS):
+        return mpmath.loggamma(arg)
+
+
+def _guarded(value, rounding):
+    nearest = mpmath.nint(value)
+    return int(nearest if abs(value - nearest) <= GUARD else rounding(value))
+
+
+def kernel_bounds(N, good):
+    """(lower, upper, root) from the log-Gamma kernel."""
+    with mpmath.workprec(KERNEL_PRECISION_BITS):
+        exponent = (_lngamma(N + 1) - _lngamma(N - good + 1) - mpmath.log(2)) / good
+        root = mpmath.exp(exponent)
+        lower = _guarded(1 + (N - good) - root, mpmath.floor)
+        upper = _guarded(N - root, mpmath.ceil)
+        return lower, upper, float(root)
 
 
 def test_hit_probability_examples():
@@ -115,14 +152,47 @@ def test_mu_bounds_validation():
 
 
 def test_mu_bounds_kernel_matches_exact_route():
-    # The log-Gamma kernel with the snapping guard must agree with the pure
-    # big-integer route on the full small grid.
+    # The big-integer route behind mu_bounds must agree with the log-Gamma
+    # kernel and its snapping guard on the full small grid.
     for N in range(2, 65):
         for good in range(1, N + 1):
             p = Fraction(good, N)
-            kernel = mu_bounds(N, p, check_sandwich=False)
-            exact = mu_bounds_exact(N, p)
-            assert (kernel.lower, kernel.upper) == (exact.lower, exact.upper), (N, good)
+            exact = mu_bounds(N, p, check_sandwich=False)
+            lower, upper, _ = kernel_bounds(N, good)
+            assert (exact.lower, exact.upper) == (lower, upper), (N, good)
+
+
+@st.composite
+def urns(draw):
+    N = draw(st.integers(4, 1000))
+    return N, draw(st.integers(1, N))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(urns())
+def test_mu_bounds_match_kernel_property(urn):
+    N, good = urn
+    mb = mu_bounds(N, Fraction(good, N), check_sandwich=False)
+    lower, upper, root = kernel_bounds(N, good)
+    assert (mb.lower, mb.upper) == (lower, upper)
+    assert mb.root == pytest.approx(root, rel=1e-12)
+    assert mb.lower_clamped == max(0, lower)
+
+
+def test_mu_bounds_sandwich_violation_raises(monkeypatch):
+    # A bound that misses m* must raise, also under python -O.
+    real = mu_bounds_exact
+
+    def shifted(N, p):
+        mb = real(N, p)
+        return mb._replace(upper=exact_threshold(N, int(p * N)) - 1)
+
+    monkeypatch.setattr("owflab.threshold.mu_bounds_exact", shifted)
+    with pytest.raises(InvariantViolation):
+        mu_bounds(100, Fraction(1, 10))
+    assert mu_bounds(100, Fraction(1, 10), check_sandwich=False).upper == (
+        exact_threshold(100, 10) - 1
+    )
 
 
 def test_sandwich_on_sampled_grid():
@@ -143,6 +213,12 @@ def test_derive_constants():
         derive_constants(2)
 
 
+def draw_count(params):
+    """(m, degenerate, mu_lower) of the sampler's draw count."""
+    mu_lower = mu_bounds_exact(params.N, params.p_upper).lower
+    return params.m, params.m_degenerate, mu_lower
+
+
 def test_draw_count_flags_degenerate_cases():
     params = sampler_params(2, 2, alpha=8)  # N = 16, p_upper = 1/4
     assert mu_bounds_exact(16, Fraction(1, 4)).lower == 0
@@ -157,9 +233,9 @@ def test_draw_count_nondegenerate():
     dc = draw_count(params)
     # floor(3 * 256**(-1/8)) = floor(1.5) = 1, above the clamp
     assert dc == (1, False, 3)
-    # dual path: the kernel root agrees with the exact integer bracketing
-    kernel = mu_bounds(256, Fraction(1, 16), check_sandwich=False)
-    assert kernel.lower == 3
+    # dual path: the log-Gamma kernel agrees with the exact bracketing
+    assert mu_bounds(256, Fraction(1, 16), check_sandwich=False).lower == 3
+    assert kernel_bounds(256, 16)[0] == 3
 
 
 def test_sampler_params_fields():
@@ -202,15 +278,13 @@ def test_bollobas_irrational_bound_is_exact():
 
 
 def test_threshold_instance_bundles_the_sandwich():
-    from owflab.threshold import threshold_instance
-
-    inst = threshold_instance(4, 2)
-    assert (inst.mstar, inst.mu_lower, inst.mu_upper) == (1, 0, 2)
-    assert inst.p == Fraction(1, 2)
-    assert max(0, inst.mu_lower) <= inst.mstar <= inst.mu_upper
+    mstar = exact_threshold(4, 2)
+    mb = mu_bounds(4, Fraction(2, 4))  # the sandwich is checked inside
+    assert (mstar, mb.lower, mb.upper) == (1, 0, 2)
+    assert max(0, mb.lower) <= mstar <= mb.upper
     # degenerate urns carry the max-set limits
-    assert threshold_instance(9, 0).mstar == 9
-    assert threshold_instance(9, 9).mstar == 0
+    assert exact_threshold(9, 0) == 9
+    assert exact_threshold(9, 9) == 0
 
 
 def test_threshold_table_rows():
