@@ -9,11 +9,10 @@ timestamp is confined to a single header field).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -32,14 +31,6 @@ class VerifyConfig:
     owf_trials: int = 10_000  # output-shape evaluations
     k_profile: str = "practical"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "owf_trials": self.owf_trials,
-            "k_profile": self.k_profile,
-        }
-
 
 @dataclass
 class CriterionResult:
@@ -56,14 +47,6 @@ class CriterionResult:
             f"{status} {self.ident:>3} {self.name:<28} "
             f"[{self.elapsed:6.1f}s / {self.limit:.0f}s]  {self.detail}"
         )
-
-    def report_dict(self) -> dict:
-        return {
-            "id": self.ident,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _criterion_1(config: VerifyConfig) -> tuple[bool, str]:
@@ -236,15 +219,18 @@ def _criterion_11(config: VerifyConfig) -> tuple[bool, str]:
     # report unchanged by construction.
     sub = VerifyConfig(
         seed=config.seed,
-        trials=max(1000, min(config.trials, 1000)),
+        trials=1000,
         owf_trials=min(config.owf_trials, 1000),
         k_profile=config.k_profile,
     )
+    from .cli import render  # cli imports this module at load
+
     idents = ("C5", "C7", "C8", "C10")
     blobs = []
     for _ in range(2):
         results = [run_criterion(ident, sub) for ident in idents]
-        blobs.append(render_report(results, sub, "json", timestamp=False).encode())
+        fields = report_fields(results, sub)
+        blobs.append(render("json", "verify-all", fields, timestamp=False).encode())
     ok = blobs[0] == blobs[1]
     return ok, (
         f"criteria {', '.join(idents)} re-run twice at trials={sub.trials}: "
@@ -292,42 +278,13 @@ def run_criterion(ident: str, config: VerifyConfig) -> CriterionResult:
     )
 
 
-def run_all(
-    config: VerifyConfig | None = None, idents: tuple[str, ...] | None = None
-) -> list[CriterionResult]:
-    config = config or VerifyConfig()
-    picked = idents or tuple(c.ident for c in CRITERIA)
-    return [run_criterion(ident, config) for ident in picked]
+def report_fields(results: list[CriterionResult], config: VerifyConfig) -> dict:
+    """The verify-all report as fields for ``cli.render``."""
+    from .cli import Table  # cli imports this module at load
 
-
-def render_report(
-    results: list[CriterionResult],
-    config: VerifyConfig,
-    fmt: str = "json",
-    *,
-    timestamp: bool = True,
-) -> str:
-    if fmt == "json":
-        payload = {
-            "config": config.to_json_dict(),
-            "criteria": [r.report_dict() for r in results],
-            "all_passed": all(r.passed for r in results),
-        }
-        if timestamp:
-            payload = {"timestamp": _now(), **payload}
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        lines = []
-        if timestamp:
-            lines.append(f"# generated {_now()}")
-        lines.append(f"# config {json.dumps(config.to_json_dict())}")
-        lines.append("id,name,passed,detail")
-        for r in results:
-            detail = r.detail.replace('"', "'")
-            lines.append(f'{r.ident},{r.name},{int(r.passed)},"{detail}"')
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    rows = [(r.ident, r.name, r.passed, r.detail) for r in results]
+    return {
+        "config": asdict(config),
+        "criteria": Table(("id", "name", "passed", "detail"), rows),
+        "all_passed": all(r.passed for r in results),
+    }

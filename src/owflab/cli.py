@@ -11,11 +11,13 @@ an unexpected exception, which is reported in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import acceptance, bitsampler, languages, owf, threshold, turing
 from .errors import BudgetError, DegenerateParameters, TapeExhausted
@@ -36,10 +38,14 @@ DEFAULTS = {
 # Per-command defaults layered over the globals (sample's n is a base size,
 # not a table limit).
 PER_COMMAND_DEFAULTS = {
-    "sample": {"n": 2},
+    "sample": {"n": 2, "format": "json"},
     "owf": {"ell": 600, "beta": 1, "alpha": "8", "format": "json",
             "k_profile": "paper"},
+    "census": {"ell": turing.CENSUS_LENGTH_GUARD},
 }
+
+# Commands whose report nests lists and objects, which a CSV table cannot hold.
+JSON_ONLY = ("sample", "owf")
 
 # (type, choices) of each shared flag.  argparse applies them to flags, and
 # _merge_config holds --config file values to the same.
@@ -160,14 +166,60 @@ def _write(out: str, text: str) -> None:
         raise SystemExit(f"cannot write the output: {exc}") from None
 
 
-def _timestamp() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
+class Table(NamedTuple):
+    """A report table: ``columns`` are its CSV header and the keys of its
+    JSON row objects."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+
+
+def _plain(value):
+    """A value as it stands in a CSV cell or the comment line."""
+    if isinstance(value, bool):
+        return int(value)
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return json.dumps(value)
+    return value
+
+
+def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> str:
+    """Serialize one report: the scalars and Tables in ``fields``, in order.
+
+    JSON is ``timestamp`` and then ``fields``, each Table as a list of row
+    objects.  CSV is a ``# generated`` line, a ``# owflab COMMAND k=v ...``
+    line of the scalars (none when there are none), then each Table as a
+    header and its rows, each Table after the first under ``# NAME``."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    if fmt == "json":
+        payload = {"timestamp": stamp} if timestamp else {}
+        for name, value in fields.items():
+            if isinstance(value, Table):
+                value = [dict(zip(value.columns, row)) for row in value.rows]
+            payload[name] = value
+        return json.dumps(payload, indent=2) + "\n"
+    out = io.StringIO()
+    if timestamp:
+        out.write(f"# generated {stamp}\n")
+    scalars = [f"{k}={_plain(v)}" for k, v in fields.items() if not isinstance(v, Table)]
+    if scalars:
+        out.write(f"# owflab {command} {' '.join(scalars)}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    tables = [(k, v) for k, v in fields.items() if isinstance(v, Table)]
+    for i, (name, table) in enumerate(tables):
+        if i:
+            out.write(f"# {name.replace('_', ' ')}\n")
+        writer.writerow(table.columns)
+        writer.writerows([_plain(v) for v in row] for row in table.rows)
+    return out.getvalue()
 
 
 def _cmd_density(cfg: dict) -> int:
     oracle = _resolve_oracle(cfg["oracle"])
     limit = cfg["ell"]
-    rows = list(languages.density_csv_rows(oracle, limit)) if limit >= 1 else []
+    rows = list(languages.density_csv_rows(oracle, limit))
     violations = 0
     for x, dens, _, _ in rows:
         if x >= oracle.x0 and not (
@@ -175,30 +227,13 @@ def _cmd_density(cfg: dict) -> int:
             and languages.upper_bound_holds(x, dens)
         ):
             violations += 1
-    if cfg["format"] == "json":
-        text = json.dumps(
-            {
-                "timestamp": _timestamp(),
-                "oracle": oracle.name,
-                "limit": limit,
-                "violations": violations,
-                "rows": [
-                    {"x": x, "dens": dens, "lower": lo, "upper": up}
-                    for x, dens, lo, up in rows
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        lines = [
-            f"# generated {_timestamp()}",
-            f"# owflab density oracle={oracle.name} limit={limit} "
-            f"violations={violations}",
-            "x,dens,lower_bound,upper_bound",
-        ]
-        lines += [f"{x},{dens},{lo!r},{up!r}" for x, dens, lo, up in rows]
-        text = "\n".join(lines) + "\n"
-    _write(cfg["out"], text)
+    fields = {
+        "oracle": oracle.name,
+        "limit": limit,
+        "violations": violations,
+        "rows": Table(("x", "dens", "lower_bound", "upper_bound"), rows),
+    }
+    _write(cfg["out"], render(cfg["format"], "density", fields))
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -218,48 +253,17 @@ def _cmd_threshold(cfg: dict) -> int:
         grid_rows.append((v.N, v.good, int(v.theta), v.m, v.regime, v.holds))
         if v.holds is False:
             violations += 1
-    if cfg["format"] == "json":
-        text = json.dumps(
-            {
-                "timestamp": _timestamp(),
-                "n_max": n_max,
-                "violations": violations,
-                "sandwich": [
-                    {
-                        "N": N, "good": g, "mstar": ms, "mu_lower": lo,
-                        "mu_upper": up, "pr_at_mstar": pa, "pr_after": pf,
-                        "ok": ok,
-                    }
-                    for N, g, ms, lo, up, pa, pf, ok in sandwich_rows
-                ],
-                "bollobas_grid": [
-                    {
-                        "N": N, "good": g, "theta": th, "m": m,
-                        "regime": reg, "holds": holds,
-                    }
-                    for N, g, th, m, reg, holds in grid_rows
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        lines = [
-            f"# generated {_timestamp()}",
-            f"# owflab threshold n_max={n_max} violations={violations}",
-            "N,good,mstar,mu_lower,mu_upper,pr_at_mstar,pr_after_mstar,sandwich_ok",
-        ]
-        lines += [
-            f"{N},{g},{ms},{lo},{up},{pa!r},{pf!r},{int(ok)}"
-            for N, g, ms, lo, up, pa, pf, ok in sandwich_rows
-        ]
-        lines.append("# bollobas grid")
-        lines.append("N,good,theta,m,regime,holds")
-        lines += [
-            f"{N},{g},{th},{m},{reg},{'' if holds is None else int(holds)}"
-            for N, g, th, m, reg, holds in grid_rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _write(cfg["out"], text)
+    fields = {
+        "n_max": n_max,
+        "violations": violations,
+        "sandwich": Table(
+            ("N", "good", "mstar", "mu_lower", "mu_upper", "pr_at_mstar",
+             "pr_after_mstar", "sandwich_ok"),
+            sandwich_rows,
+        ),
+        "bollobas_grid": Table(("N", "good", "theta", "m", "regime", "holds"), grid_rows),
+    }
+    _write(cfg["out"], render(cfg["format"], "threshold", fields))
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
@@ -275,8 +279,8 @@ def _cmd_verify_all(cfg: dict) -> int:
         result = acceptance.run_criterion(crit.ident, config)
         print(result.line(), file=sys.stderr)
         results.append(result)
-    text = acceptance.render_report(results, config, cfg["format"])
-    _write(cfg["out"], text)
+    fields = acceptance.report_fields(results, config)
+    _write(cfg["out"], render(cfg["format"], "verify-all", fields))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATIONS
 
 
@@ -291,8 +295,7 @@ def _cmd_sample(cfg: dict) -> int:
         alpha=_parse_alpha(cfg["alpha"]),
         k_profile=cfg["k_profile"],
     )
-    payload = {"timestamp": _timestamp(), **report.to_json_dict()}
-    _write(cfg["out"], json.dumps(payload, indent=2) + "\n")
+    _write(cfg["out"], render("json", "sample", report.to_json_dict()))
     return EXIT_OK
 
 
@@ -302,8 +305,7 @@ def _cmd_owf(cfg: dict) -> int:
     out = owf.owf_evaluate(
         w, cfg["beta"], k_profile=cfg["k_profile"], alpha=_parse_alpha(cfg["alpha"])
     )
-    payload = {
-        "timestamp": _timestamp(),
+    fields = {
         "ell": ell,
         "beta": cfg["beta"],
         "n": out.n,
@@ -313,32 +315,15 @@ def _cmd_owf(cfg: dict) -> int:
         "bits_consumed": out.bits_consumed,
         "sets": [list(s.members) for s in out.sets],
     }
-    _write(cfg["out"], json.dumps(payload, indent=2) + "\n")
+    _write(cfg["out"], render("json", "owf", fields))
     return EXIT_OK
 
 
 def _cmd_census(cfg: dict) -> int:
-    max_len = min(cfg["ell"], turing.CENSUS_LENGTH_GUARD)
-    rows = list(turing.census_csv_rows(max_len))
-    if cfg["format"] == "json":
-        text = json.dumps(
-            {
-                "timestamp": _timestamp(),
-                "rows": [
-                    {"length": l, "diagonal_count": c, "header_classes": h}
-                    for l, c, h in rows
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        lines = [
-            f"# generated {_timestamp()}",
-            "length,diagonal_count,header_classes",
-        ]
-        lines += [f"{l},{c},{h}" for l, c, h in rows]
-        text = "\n".join(lines) + "\n"
-    _write(cfg["out"], text)
+    # A length past turing.CENSUS_LENGTH_GUARD raises BudgetError: exit 2.
+    rows = list(turing.census_csv_rows(cfg["ell"]))
+    fields = {"rows": Table(("length", "diagonal_count", "header_classes"), rows)}
+    _write(cfg["out"], render(cfg["format"], "census", fields))
     return EXIT_OK
 
 
@@ -357,6 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
+        if args.command in JSON_ONLY and cfg["format"] != "json":
+            raise SystemExit(f"owflab {args.command} writes JSON only, not --format csv")
         return _COMMANDS[args.command](cfg)
     except (BudgetError, DegenerateParameters, TapeExhausted, ValueError) as exc:
         print(f"owflab: {exc}", file=sys.stderr)
@@ -375,4 +362,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run main from the package module, not from this __main__ copy of it:
+    # acceptance builds its Table from owflab.cli, and render checks for it.
+    from owflab.cli import main as package_main
+
+    sys.exit(package_main())

@@ -1,10 +1,11 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from owflab import cli
+from owflab import acceptance, cli, turing
 from owflab.cli import main
 
 
@@ -18,6 +19,35 @@ def strip_timestamps(text):
         for line in text.splitlines()
         if "timestamp" not in line and not line.startswith("# generated")
     )
+
+
+def without_timestamp(text):
+    """``text`` less its ``# generated`` line or its JSON ``timestamp`` key,
+    byte for byte otherwise."""
+    return "".join(
+        line
+        for line in text.splitlines(keepends=True)
+        if not line.startswith(("# generated ", '  "timestamp": '))
+    )
+
+
+def csv_tables(text):
+    """The tables of a CSV report in file order, each a list of rows with
+    its header first.  A comment line ends a table."""
+    blocks = [[]]
+    for line in text.splitlines(keepends=True):
+        if line.startswith("#"):
+            blocks.append([])
+        else:
+            blocks[-1].append(line)
+    return [list(csv.reader(block)) for block in blocks if block]
+
+
+def as_cell(value):
+    """A JSON value as the CSV report writes it."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return "" if value is None else str(value)
 
 
 def test_density_csv(tmp_path):
@@ -77,6 +107,118 @@ def test_census_rows(tmp_path):
     assert lines[1] == "length,diagonal_count,header_classes"
     assert "4,16,4" in lines
     assert "8,256,8" in lines
+
+
+def test_census_refuses_lengths_past_the_guard(tmp_path, capsys):
+    out = tmp_path / "census.csv"
+    too_long = str(turing.CENSUS_LENGTH_GUARD + 1)
+    assert run_cli(["census", "--ell", too_long, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+    # Without --ell the census runs up to the guard.
+    assert run_cli(["census", "--out", str(out)]) == 0
+    (table,) = csv_tables(out.read_text())
+    assert [row[0] for row in table[1:]] == [
+        str(length) for length in range(1, turing.CENSUS_LENGTH_GUARD + 1)
+    ]
+
+
+CENSUS_4 = {
+    "csv": """\
+length,diagonal_count,header_classes
+1,2,1
+2,4,2
+3,8,4
+4,16,4
+""",
+    "json": """\
+{
+  "rows": [
+    {
+      "length": 1,
+      "diagonal_count": 2,
+      "header_classes": 1
+    },
+    {
+      "length": 2,
+      "diagonal_count": 4,
+      "header_classes": 2
+    },
+    {
+      "length": 3,
+      "diagonal_count": 8,
+      "header_classes": 4
+    },
+    {
+      "length": 4,
+      "diagonal_count": 16,
+      "header_classes": 4
+    }
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_census_golden(tmp_path, fmt):
+    out = tmp_path / f"census.{fmt}"
+    assert run_cli(["census", "--ell", "4", "--format", fmt, "--out", str(out)]) == 0
+    assert without_timestamp(out.read_text()) == CENSUS_4[fmt]
+
+
+@pytest.mark.parametrize(
+    "args, tables",
+    [
+        (["density", "--ell", "30"], ["rows"]),
+        (["threshold", "--n", "12"], ["sandwich", "bollobas_grid"]),
+        (["census", "--ell", "6"], ["rows"]),
+        (["verify-all", "--trials", "50"], ["criteria"]),
+    ],
+)
+def test_csv_and_json_carry_the_same_rows(tmp_path, monkeypatch, args, tables):
+    fast = ("C6", "C8", "C9", "C10")
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", tuple(c for c in acceptance.CRITERIA if c.ident in fast)
+    )
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"report.{fmt}"
+        assert run_cli(args + ["--format", fmt, "--out", str(out)]) == 0
+        reports[fmt] = out.read_text()
+    payload = json.loads(reports["json"])
+    expected = []
+    for name in tables:
+        rows = payload[name]
+        assert rows
+        expected.append(
+            [list(rows[0])] + [[as_cell(v) for v in row.values()] for row in rows]
+        )
+    assert csv_tables(reports["csv"]) == expected
+
+
+def test_criterion_detail_survives_csv():
+    detail = 'max "41" of 41, 0 failures'
+    result = acceptance.CriterionResult("C0", "quoted", False, detail, 0.0, 1.0)
+    config = acceptance.VerifyConfig(seed=3, trials=7, owf_trials=7)
+    fields = acceptance.report_fields([result], config)
+    text = cli.render("csv", "verify-all", fields, timestamp=False)
+    assert text.splitlines()[0] == (
+        '# owflab verify-all config={"seed": 3, "trials": 7, "owf_trials": 7, '
+        '"k_profile": "practical"} all_passed=0'
+    )
+    assert csv_tables(text) == [
+        [["id", "name", "passed", "detail"], ["C0", "quoted", "0", detail]]
+    ]
+
+
+@pytest.mark.parametrize("command", ["sample", "owf"])
+def test_json_only_commands_refuse_csv(tmp_path, capsys, command):
+    out = tmp_path / "report.csv"
+    assert run_cli([command, "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "JSON only" in err
+    assert not out.exists()
 
 
 def test_sample_report(tmp_path):
