@@ -25,11 +25,21 @@ integers as floor(r_num * R / 2**k).  Each output index then deviates from
 which is what the exact bias and permutation distributions below use instead
 of enumerating all 2**k tapes.
 
+Because block i depends only on (seed, stream, i), a seeded tape holds just
+(seed, stream, total) and hashes the blocks a read touches.  ``skip(k)``
+advances the cursor past k bits without reading them, with the same bounds
+check as ``take``; either way every bit position is consumed at most once.
+
 A Fisher-Yates pass draws positions from ranges N, N-1, ..., 1, consuming
 exactly k bits per draw (the final size-1 draw included, so a permutation
-costs exactly N*k bits).  The construction's own budget is k = N**2 + 2
-(profile name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps
-large experiments feasible at a correspondingly looser per-draw bias bound.
+costs exactly N*k bits).  Partial selection asks for the first m entries
+only: it makes those m draws, finds each entry as the idx-th survivor of
+{1..N} with the earlier entries removed (an order statistic, found by a
+binary search over the sorted removed list, Knuth TAOCP 3.4.2), and skips
+the (N-m)*k bits the remaining draws would have read, so outputs and cursor
+match the full pass.  The construction's own budget is k = N**2 + 2 (profile
+name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps large
+experiments feasible at a correspondingly looser per-draw bias bound.
 """
 
 from __future__ import annotations
@@ -42,8 +52,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InvariantViolation, TapeExhausted
-
-_BYTE_BITS = [format(i, "08b") for i in range(256)]
 
 BIAS_PROFILE_MAX_K = 24
 PERMUTATION_MAX_N = 6
@@ -68,38 +76,56 @@ def profile_k(profile: str, urn_size: int) -> int:
     raise ValueError(f"unknown k profile {profile!r}")
 
 
-def expand_seed_bits(seed: int, nbits: int, stream: int = 0) -> str:
-    """The documented counter-mode expansion: SHA-256 blocks over
-    (seed, stream, counter), bytes read MSB first."""
+def _check_seed(seed: int, stream: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
     if not 0 <= stream < 2**64:
         raise ValueError("stream must fit in 64 unsigned bits")
+
+
+def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> str:
+    """Bits [start, start+nbits) of the documented counter-mode expansion:
+    SHA-256 blocks over (seed, stream, counter), bytes read MSB first.
+    Only the blocks that hold those bits are hashed."""
+    _check_seed(seed, stream)
+    if nbits < 0 or start < 0:
+        raise ValueError("nbits and start must be >= 0")
     prefix = seed.to_bytes(8, "big") + stream.to_bytes(8, "big")
-    blocks = []
-    needed_blocks = (nbits + 255) // 256
-    for counter in range(needed_blocks):
-        digest = hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        blocks.append(digest)
-    raw = b"".join(blocks)
-    bits = "".join(map(_BYTE_BITS.__getitem__, raw))
-    return bits[:nbits]
+    first, offset = divmod(start, 256)
+    raw = b"".join(
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range(first, (start + nbits + 255) // 256)
+    )
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    return bits[offset : offset + nbits]
 
 
 class BitTape:
-    """Finite consumable sequence of bits with a strict left-to-right cursor."""
+    """Finite consumable sequence of bits with a strict left-to-right cursor.
 
-    __slots__ = ("_bits", "_cursor")
+    A literal or file tape keeps its bits; a seeded tape keeps (seed,
+    stream, total) and expands the bits each read covers."""
+
+    __slots__ = ("_bits", "_seed", "_stream", "_total", "_cursor")
 
     def __init__(self, bits: str):
-        if bits.strip("01"):
+        # int(s, 2) would also accept "_", whitespace, a sign, "0b" and
+        # non-ASCII digits; this admits only the characters 0 and 1.
+        if not (bits.isascii() and not bits.encode().translate(None, b"01")):
             raise ValueError("a tape is a string over 0/1")
-        self._bits = bits
+        self._bits: str | None = bits
+        self._seed = self._stream = 0
+        self._total = len(bits)
         self._cursor = 0
 
     @classmethod
     def from_seed(cls, seed: int, nbits: int, stream: int = 0) -> "BitTape":
-        return cls(expand_seed_bits(seed, nbits, stream))
+        _check_seed(seed, stream)
+        if nbits < 0:
+            raise ValueError("a tape cannot have a negative length")
+        tape = cls("")
+        tape._bits, tape._seed, tape._stream, tape._total = None, seed, stream, nbits
+        return tape
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BitTape":
@@ -116,30 +142,41 @@ class BitTape:
 
     @property
     def total(self) -> int:
-        return len(self._bits)
+        return self._total
 
     @property
     def cursor(self) -> int:
         return self._cursor
 
     def remaining(self) -> int:
-        return len(self._bits) - self._cursor
+        return self._total - self._cursor
 
-    def take_bits(self, k: int) -> str:
+    def _advance(self, k: int) -> int:
+        """Move the cursor k bits on and return where it was."""
         if k < 0:
             raise ValueError("cannot take a negative number of bits")
         if self.remaining() < k:
             raise TapeExhausted(
                 f"need {k} bits, tape has {self.remaining()} left"
             )
-        out = self._bits[self._cursor : self._cursor + k]
+        start = self._cursor
         self._cursor += k
-        return out
+        return start
+
+    def take_bits(self, k: int) -> str:
+        start = self._advance(k)
+        if self._bits is None:
+            return expand_seed_bits(self._seed, k, self._stream, start)
+        return self._bits[start : start + k]
 
     def take(self, k: int) -> int:
         """Consume k bits and return them as an integer, MSB first."""
         bits = self.take_bits(k)
         return int(bits, 2) if bits else 0
+
+    def skip(self, k: int) -> None:
+        """Consume k bits without reading them."""
+        self._advance(k)
 
     def __repr__(self) -> str:
         return f"BitTape(total={self.total}, cursor={self._cursor})"
@@ -191,24 +228,46 @@ def bias_profile(k: int, range_size: int) -> BiasProfile:
     return BiasProfile(k, range_size, counts, probs, max_dev, bound, max_dev <= bound)
 
 
-def fisher_yates(tape: BitTape, N: int, k: int | None = None) -> tuple[int, ...]:
-    """Permutation of {1..N} by selection sampling: the j-th output is drawn
-    from the N-j remaining elements with one k-bit draw.  Consumes exactly
-    N*k bits; k defaults to the full budget N**2 + 2."""
+def fisher_yates(
+    tape: BitTape, N: int, k: int | None = None, m: int | None = None
+) -> tuple[int, ...]:
+    """The first m entries (all N by default) of a permutation of {1..N} by
+    selection sampling: the j-th entry is drawn from the N-j remaining
+    elements with one k-bit draw.  Consumes exactly N*k bits whatever m is,
+    skipping the draws after the m-th; k defaults to the full budget
+    N**2 + 2."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if k is None:
         k = paper_k(N)
+    if m is None:
+        m = N
+    if not 0 <= m <= N:
+        raise ValueError(f"cannot select {m} of {N} elements")
     if tape.remaining() < N * k:
         raise TapeExhausted(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
-    items = list(range(1, N + 1))
+    removed: list[int] = []  # the entries drawn so far, ascending
     out = []
-    for j in range(N):
-        idx = draw_integer(tape, 0, N - j - 1, k)
-        out.append(items.pop(idx))
+    for j in range(m):
+        # The idx-th survivor (from 0) is t = idx + 1 shifted up by the count
+        # of removed entries at or below it.  That count is the number of
+        # positions p with removed[p] - p <= t, and removed[p] - p never
+        # decreases in p, so a binary search finds it; it is also where the
+        # new entry goes in the sorted list.
+        t = draw_integer(tape, 0, N - j - 1, k) + 1
+        lo, hi = 0, j
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if removed[mid] - mid <= t:
+                lo = mid + 1
+            else:
+                hi = mid
+        removed.insert(lo, t + lo)
+        out.append(t + lo)
+    tape.skip((N - m) * k)
     return tuple(out)
 
 
@@ -226,15 +285,13 @@ def select_subset(
 
     The permutation sends the m leading 1-bits of 1**m 0**(N-m) to the first
     m drawn positions, so the selected elements are the urn entries at those
-    positions.  |chosen| = m always; the full permutation is drawn either
-    way, so the bit cost is the same for every m (N*k bits).
+    positions.  |chosen| = m always; only those m positions are drawn, but
+    the tape is advanced past the whole permutation, so the bit cost is the
+    same for every m (N*k bits).
     """
-    N = len(urn)
-    if not 0 <= m <= N:
-        raise ValueError(f"cannot select {m} of {N} elements")
     start = tape.cursor
-    perm = fisher_yates(tape, N, k)
-    chosen = tuple(sorted(urn[pos - 1] for pos in perm[:m]))
+    positions = fisher_yates(tape, len(urn), k, m)
+    chosen = tuple(sorted(urn[pos - 1] for pos in positions))
     return SelectionResult(chosen, tape.cursor - start, tape)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .bitsampler import BitTape, profile_k, select_subset
 from .errors import (
@@ -110,7 +110,7 @@ def _ptsamp_traced(
     tape: BitTape,
     params: SamplerParams,
     k_profile: str = "paper",
-) -> tuple[InstanceSet, BitTape, tuple[int, ...]]:
+) -> tuple[InstanceSet, BitTape, Sequence[int]]:
     if b not in (0, 1):
         raise ValueError("b must be a bit")
     if params.n != n:
@@ -123,7 +123,7 @@ def _ptsamp_traced(
         )
     full_urn = range(1, N + 1)
     if b == 1:
-        if m > n:
+        if not params.b1_feasible:
             raise DegenerateParameters(
                 f"draw count m={m} exceeds the thinned urn size n={n}; "
                 f"the b=1 branch cannot produce |W|=m"
@@ -132,7 +132,7 @@ def _ptsamp_traced(
         urn = thinned.chosen
         picked = select_subset(tape, m, urn, profile_k(k_profile, n))
     else:
-        urn = tuple(full_urn)
+        urn = full_urn
         picked = select_subset(tape, m, full_urn, profile_k(k_profile, N))
     return InstanceSet(picked.chosen, N), tape, urn
 

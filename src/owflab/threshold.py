@@ -181,6 +181,12 @@ class SamplerParams:
     m: int
     m_degenerate: bool
 
+    @property
+    def b1_feasible(self) -> bool:
+        """Whether the b=1 branch can draw m elements from its thinned urn
+        of n; a cell with m > n cannot run that branch."""
+        return self.m <= self.n
+
 
 def _floor_scaled_by_root(value: int, N: int, alpha: Fraction) -> int:
     """floor(value * N**(-1/alpha)) exactly: the largest m with

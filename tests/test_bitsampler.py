@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from owflab.bitsampler import (
     BitTape,
@@ -242,3 +244,119 @@ def test_profile_k():
     assert profile_k("practical", 4) == 66
     with pytest.raises(ValueError):
         profile_k("fast", 4)
+
+
+def list_pop_fisher_yates(tape, N, k):
+    """The full-pass reference: every draw made, survivors kept in a list."""
+    items = list(range(1, N + 1))
+    return tuple(items.pop(draw_integer(tape, 0, N - j - 1, k)) for j in range(N))
+
+
+def documented_expansion(seed, nbits, stream):
+    """Every block from counter 0, hashed and read MSB first."""
+    prefix = seed.to_bytes(8, "big") + stream.to_bytes(8, "big")
+    blocks = (
+        hashlib.sha256(prefix + i.to_bytes(8, "big")).digest()
+        for i in range((nbits + 255) // 256)
+    )
+    return "".join(format(byte, "08b") for block in blocks for byte in block)[:nbits]
+
+
+tape_ops = st.lists(
+    st.tuples(st.sampled_from(["take", "skip"]), st.integers(0, 600)), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 3000),
+    tape_ops,
+)
+def test_seeded_tape_reads_slices_of_the_expansion(seed, stream, total, ops):
+    tape = BitTape.from_seed(seed, total, stream)
+    full = expand_seed_bits(seed, total, stream)
+    assert full == documented_expansion(seed, total, stream)
+    for op, k in ops:
+        pos = tape.cursor
+        if k > total - pos:
+            with pytest.raises(TapeExhausted):
+                tape.take_bits(k) if op == "take" else tape.skip(k)
+            assert tape.cursor == pos
+            continue
+        if op == "take":
+            assert tape.take_bits(k) == full[pos : pos + k]
+        else:
+            tape.skip(k)
+        assert tape.cursor == pos + k
+    pos = tape.cursor
+    assert tape.take_bits(tape.remaining()) == full[pos:]
+
+
+@st.composite
+def partial_passes(draw):
+    N = draw(st.integers(1, 40))
+    k, m = draw(st.integers(1, 24)), draw(st.integers(0, N))
+    return N, k, m, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(partial_passes())
+def test_partial_fisher_yates_is_the_full_pass_prefix(case):
+    N, k, m, seed = case
+    extra = 5  # the cursor must stop at N*k, not at the end of the tape
+    full = list_pop_fisher_yates(BitTape.from_seed(seed, N * k + extra), N, k)
+    for tape in (
+        BitTape.from_seed(seed, N * k + extra),
+        BitTape(expand_seed_bits(seed, N * k + extra)),
+    ):
+        assert fisher_yates(tape, N, k, m) == full[:m]
+        assert tape.cursor == N * k
+    assert fisher_yates(BitTape.from_seed(seed, N * k), N, k) == full
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text().filter(lambda s: s.strip("01")))
+@example("1_0")
+@example(" 10")
+@example("10\n")
+@example("+1")
+@example("-1")
+@example("0b1")
+@example("1\u0661")  # ARABIC-INDIC DIGIT ONE, which int(s, 2) reads as 1
+@example("\uff11")  # FULLWIDTH DIGIT ONE
+def test_literal_tape_refuses_every_non_bit_string(text):
+    with pytest.raises(ValueError):
+        BitTape(text)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.text(alphabet="01"))
+def test_literal_tape_accepts_every_bit_string(text):
+    tape = BitTape(text)
+    assert tape.total == len(text)
+    assert tape.take_bits(len(text)) == text
+
+
+def test_from_seed_checks_its_arguments():
+    for args in ((1, -5), (2**64, 8), (-1, 8), (1, 8, 2**64), (1, 8, -1)):
+        with pytest.raises(ValueError):
+            BitTape.from_seed(*args)
+    assert BitTape.from_seed(2**64 - 1, 0, 2**64 - 1).remaining() == 0
+
+
+def test_skip_has_the_bounds_check_of_take():
+    tape = BitTape.from_seed(3, 10)
+    with pytest.raises(ValueError):
+        tape.skip(-1)
+    with pytest.raises(TapeExhausted):
+        tape.skip(11)
+    assert tape.cursor == 0
+    tape.skip(4)
+    assert tape.take_bits(6) == expand_seed_bits(3, 10)[4:]
+
+
+def test_fisher_yates_refuses_more_entries_than_elements():
+    with pytest.raises(ValueError):
+        fisher_yates(BitTape.from_seed(1, 3 * 4), 3, 4, 4)

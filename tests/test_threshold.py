@@ -330,3 +330,9 @@ def test_monte_carlo_concordance():
         freq = float(np.count_nonzero(draws) / trials)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(freq - exact) <= 4 * sigma + 1e-12
+
+
+def test_b1_feasible_is_m_at_most_n():
+    assert sampler_params(8, 2, alpha=8).b1_feasible  # N = 4096, m = 4
+    infeasible = sampler_params(4, 3)  # derived alpha: N = 4096, m = 7 > 4
+    assert (infeasible.m, infeasible.b1_feasible) == (7, False)
