@@ -47,7 +47,8 @@ for subset, p in sorted(subset_distribution(4, 2, 6).items(), key=lambda kv: sor
 print("\nSelections consume tape strictly left to right:")
 tape = BitTape.from_seed(7, 2 * 4 * paper_k(4))
 first = select_subset(tape, 2, range(1, 5))
+first_end = tape.cursor
 second = select_subset(tape, 2, range(1, 5))
-print(f"  first pick {first.chosen} used bits [0, {first.consumed})")
-print(f"  second pick {second.chosen} used the next {second.consumed} bits")
+print(f"  first pick {first} used bits [0, {first_end})")
+print(f"  second pick {second} used the next {tape.cursor - first_end} bits")
 print(f"  cursor now at {tape.cursor} of {tape.total}")

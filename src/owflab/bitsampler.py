@@ -3,8 +3,7 @@
 A BitTape is a single-consumer cursor over a fixed bit string: bits are
 consumed strictly left to right and never re-read, so chained draws are
 stochastically independent whenever the underlying bits are.  Tapes come
-from literal bit strings, from 0/1 text files, or from the seeded expansion
-documented below.
+from literal bit strings or from the seeded expansion documented below.
 
 Seed expansion (versioned; changing it is a breaking change)
 ------------------------------------------------------------
@@ -46,9 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InvariantViolation, TapeExhausted
@@ -103,8 +100,8 @@ def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> 
 class BitTape:
     """Finite consumable sequence of bits with a strict left-to-right cursor.
 
-    A literal or file tape keeps its bits; a seeded tape keeps (seed,
-    stream, total) and expands the bits each read covers."""
+    A literal tape keeps its bits; a seeded tape keeps (seed, stream,
+    total) and expands the bits each read covers."""
 
     __slots__ = ("_bits", "_seed", "_stream", "_total", "_cursor")
 
@@ -126,19 +123,6 @@ class BitTape:
         tape = cls("")
         tape._bits, tape._seed, tape._stream, tape._total = None, seed, stream, nbits
         return tape
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "BitTape":
-        """Load a raw bit file: 0/1 characters, whitespace ignored."""
-        text = Path(path).read_text()
-        return cls("".join(text.split()))
-
-    @classmethod
-    def from_spec(cls, spec: str, nbits: int, stream: int = 0) -> "BitTape":
-        """Parse a tape spec: "seed:<64-bit integer>" or a file path."""
-        if spec.startswith("seed:"):
-            return cls.from_seed(int(spec[5:]), nbits, stream)
-        return cls.from_file(spec)
 
     @property
     def total(self) -> int:
@@ -271,28 +255,20 @@ def fisher_yates(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    chosen: tuple[int, ...]  # sorted subset of the urn
-    consumed: int
-    tape: BitTape  # the same tape, advanced past the consumed bits
-
-
 def select_subset(
     tape: BitTape, m: int, urn: Sequence[int], k: int | None = None
-) -> SelectionResult:
-    """Select an m-subset of the urn by permuting an indicator word.
+) -> tuple[int, ...]:
+    """Select an m-subset of the urn by permuting an indicator word, and
+    return it sorted.
 
     The permutation sends the m leading 1-bits of 1**m 0**(N-m) to the first
     m drawn positions, so the selected elements are the urn entries at those
-    positions.  |chosen| = m always; only those m positions are drawn, but
-    the tape is advanced past the whole permutation, so the bit cost is the
-    same for every m (N*k bits).
+    positions.  The subset has m elements always; only those m positions are
+    drawn, but the tape is advanced past the whole permutation, so the bit
+    cost is the same for every m (N*k bits).
     """
-    start = tape.cursor
     positions = fisher_yates(tape, len(urn), k, m)
-    chosen = tuple(sorted(urn[pos - 1] for pos in positions))
-    return SelectionResult(chosen, tape.cursor - start, tape)
+    return tuple(sorted(urn[pos - 1] for pos in positions))
 
 
 class PermutationDistribution(NamedTuple):
@@ -362,7 +338,6 @@ __all__ = [
     "BiasProfile",
     "BitTape",
     "PermutationDistribution",
-    "SelectionResult",
     "bias_profile",
     "draw_integer",
     "expand_seed_bits",

@@ -152,7 +152,10 @@ def _resolve_oracle(name: str) -> languages.LanguageOracle:
 def _parse_alpha(value) -> Fraction | None:
     if value is None:
         return None
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise SystemExit(f"alpha {value!r} has a zero denominator") from None
 
 
 def _write(out: str, text: str) -> None:

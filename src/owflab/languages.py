@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from .errors import BudgetError, InvariantViolation
 from .words import Word, goedel_inverse, word_value
 
-DEFAULT_ENUMERATION_BUDGET = 10_000_000
+ENUMERATION_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,6 @@ class LanguageOracle:
         if self.d_pow_beta is None:
             return None
         return float(self.d_pow_beta) ** (1.0 / self.beta)
-
-
-@dataclass(frozen=True)
-class DensityTable:
-    """Cumulative density counts: counts[x] = dens(x) for x = 1..limit."""
-
-    oracle_name: str
-    limit: int
-    counts: tuple[int, ...]  # counts[0] is a 0 sentinel
-
-    def dens(self, x: int) -> int:
-        return self.counts[x]
 
 
 @dataclass(frozen=True)
@@ -188,14 +176,11 @@ def intersect(l1: LanguageOracle, l2: LanguageOracle) -> LanguageOracle:
     )
 
 
-def density_scan(
-    oracle: LanguageOracle, limit: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[tuple[int, int]]:
+def density_scan(oracle: LanguageOracle, limit: int) -> Iterator[tuple[int, int]]:
     """Yield (x, dens(x)) for x = 1..limit by enumerating Goedel inverses."""
-    if limit > budget:
+    if limit > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"density enumeration to {limit} exceeds budget {budget}; "
-            "pass a larger budget explicitly"
+            f"density enumeration is limited to x <= {ENUMERATION_BUDGET}"
         )
     count = 0
     member = oracle.member
@@ -205,24 +190,14 @@ def density_scan(
         yield x, count
 
 
-def density(
-    oracle: LanguageOracle, x: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
+def density(oracle: LanguageOracle, x: int) -> int:
     """Exact number of member words with Goedel number <= x."""
     if x < 1:
         raise ValueError("density is defined for x >= 1")
     dens = 0
-    for _, dens in density_scan(oracle, x, budget=budget):
+    for _, dens in density_scan(oracle, x):
         pass
     return dens
-
-
-def density_table(
-    oracle: LanguageOracle, limit: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> DensityTable:
-    counts = [0]
-    counts.extend(dens for _, dens in density_scan(oracle, limit, budget=budget))
-    return DensityTable(oracle.name, limit, tuple(counts))
 
 
 def lower_bound_holds(oracle: LanguageOracle, x: int, dens: int) -> bool:
@@ -238,19 +213,14 @@ def upper_bound_holds(x: int, dens: int) -> bool:
     return dens * dens <= x
 
 
-def density_bound_report(
-    oracle: LanguageOracle,
-    limit: int,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> DensityReport:
+def density_bound_report(oracle: LanguageOracle, limit: int) -> DensityReport:
     """Check both claimed bounds pointwise over [x0, limit].
 
     Violations are returned as data, never raised: the trivial full language
     violates the sqrt ceiling everywhere, and that is a legitimate finding.
     """
     violations: list[BoundViolation] = []
-    for x, dens in density_scan(oracle, limit, budget=budget):
+    for x, dens in density_scan(oracle, limit):
         if x < oracle.x0:
             continue
         if not lower_bound_holds(oracle, x, dens):
@@ -260,25 +230,19 @@ def density_bound_report(
     return DensityReport(oracle.name, oracle.x0, limit, tuple(violations))
 
 
-def calibrate_d_pow_beta(
-    oracle: LanguageOracle,
-    limit: int,
-    x0: int | None = None,
-    *,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Fraction:
+def calibrate_d_pow_beta(oracle: LanguageOracle, limit: int) -> Fraction:
     """Largest admissible d**beta over the scanned range: the pointwise
-    minimum of dens(x)**beta / x for x in [x0, limit].
+    minimum of dens(x)**beta / x for x in [oracle.x0, limit].
 
     This is the calibration scan that fixes an oracle's lower-bound constant
     empirically; any stored d_pow_beta at or below the returned value holds
     with zero violations on the scanned range.
     """
-    x0 = oracle.x0 if x0 is None else x0
+    x0 = oracle.x0
     if limit < x0:
         raise ValueError("the scan range [x0, limit] is empty")
     best: Fraction | None = None
-    for x, dens in density_scan(oracle, limit, budget=budget):
+    for x, dens in density_scan(oracle, limit):
         if x < x0:
             continue
         ratio = Fraction(dens**oracle.beta, x)
@@ -290,10 +254,10 @@ def calibrate_d_pow_beta(
 
 
 def density_csv_rows(
-    oracle: LanguageOracle, limit: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
+    oracle: LanguageOracle, limit: int
 ) -> Iterator[tuple[int, int, float, float]]:
     """Rows (x, dens, d * x**(1/beta), sqrt(x)) for table export."""
     d = oracle.d
-    for x, dens in density_scan(oracle, limit, budget=budget):
+    for x, dens in density_scan(oracle, limit):
         lower = d * x ** (1.0 / oracle.beta) if d is not None else 0.0
         yield x, dens, lower, math.sqrt(x)

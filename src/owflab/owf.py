@@ -128,13 +128,12 @@ def _ptsamp_traced(
                 f"draw count m={m} exceeds the thinned urn size n={n}; "
                 f"the b=1 branch cannot produce |W|=m"
             )
-        thinned = select_subset(tape, n, full_urn, profile_k(k_profile, N))
-        urn = thinned.chosen
+        urn = select_subset(tape, n, full_urn, profile_k(k_profile, N))
         picked = select_subset(tape, m, urn, profile_k(k_profile, n))
     else:
         urn = full_urn
         picked = select_subset(tape, m, full_urn, profile_k(k_profile, N))
-    return InstanceSet(picked.chosen, N), tape, urn
+    return InstanceSet(picked, N), tape, urn
 
 
 def ptsamp(

@@ -108,10 +108,6 @@ class PhiImage:
         return self.image[len(self.code) : len(self.code) + len(self.source)]
 
     @property
-    def trailer_block(self) -> Word:
-        return self.image[len(self.code) + len(self.source) :]
-
-    @property
     def value(self) -> int:
         return word_value(self.image)
 
@@ -144,6 +140,9 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
     if result.code_block != code or result.source_block != w:
         raise InvariantViolation(f"blocks of {image!r} do not recover code and w")
     return result
+
+
+TRANSFER_BUDGET = 2**20  # largest limit density_transfer_check enumerates
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,6 @@ def density_transfer_check(
     lam: int,
     limit: int,
     thresholds: Iterable[Word],
-    *,
-    budget: int = 2**20,
 ) -> TransferReport:
     """Verify, by exhaustive counting, that the image language is at least as
     dense as the source language at corresponding points.
@@ -190,8 +187,10 @@ def density_transfer_check(
     not exceed the number of image values phi(v') <= phi(w) over members v'.
     Members are enumerated in minimal binary form up to ``limit``.
     """
-    if limit > budget:
-        raise BudgetError(f"member enumeration to {limit} exceeds budget {budget}")
+    if limit > TRANSFER_BUDGET:
+        raise BudgetError(
+            f"member enumeration to {limit} exceeds budget {TRANSFER_BUDGET}"
+        )
     member_values = [
         y for y in range(1, limit + 1) if oracle.member(min_word(y))
     ]

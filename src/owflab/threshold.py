@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-import mpmath
-
 from .errors import InvariantViolation
 
 DEFAULT_ALPHA_SMALL_BETA = Fraction(8)  # convention for beta <= 2, where the
@@ -165,9 +163,9 @@ class SamplerParams:
     """Derived sampling parameters for base size n and density exponent beta.
 
     N = n**(2*beta) is the full urn, s = n**(2*beta - 1) the thinning factor
-    (so the thinned urn has N/s = n elements), p_upper = sqrt(N)/N and
-    p_lower = d * N**(1/beta) / N bound the marked fraction, and m is the
-    draw count floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1.
+    (so the thinned urn has N/s = n elements), p_upper = sqrt(N)/N bounds
+    the marked fraction, and m is the draw count
+    floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1.
     """
 
     n: int
@@ -177,7 +175,6 @@ class SamplerParams:
     N: int
     s: int
     p_upper: Fraction
-    p_lower: float | None
     m: int
     m_degenerate: bool
 
@@ -205,10 +202,7 @@ def _floor_scaled_by_root(value: int, N: int, alpha: Fraction) -> int:
 
 
 def sampler_params(
-    n: int,
-    beta: int,
-    alpha: Fraction | int | None = None,
-    d: float | None = None,
+    n: int, beta: int, alpha: Fraction | int | None = None
 ) -> SamplerParams:
     """Build SamplerParams; alpha is auto-derived for beta > 2 and must
     otherwise come from the caller (or the documented default of 8)."""
@@ -225,7 +219,6 @@ def sampler_params(
     N = n ** (2 * beta)
     s = n ** (2 * beta - 1)
     p_upper = Fraction(n**beta, N)
-    p_lower = None if d is None else d * n**2 / N
     # The unclamped draw count; below 1 it is clamped and flagged degenerate.
     mu = mu_bounds_exact(N, p_upper).lower if N >= 2 else 0
     m = _floor_scaled_by_root(mu, N, alpha)
@@ -237,7 +230,6 @@ def sampler_params(
         N=N,
         s=s,
         p_upper=p_upper,
-        p_lower=p_lower,
         m=max(1, m),
         m_degenerate=m < 1,
     )
@@ -332,25 +324,21 @@ class QuotientRatio:
     term_c_over_n2beta: float
 
 
-def quotient_ratio(
-    n: int,
-    d: float,
-    beta: int,
-    alpha: Fraction | int | None = None,
-    *,
-    precision_bits: int = 192,
-) -> QuotientRatio:
+def quotient_ratio(n: int, d: float, beta: int) -> QuotientRatio:
+    """The quotient at alpha = derive_constants(beta)[0], evaluated with
+    mpmath at 192 bits of precision."""
+    # mpmath is imported here, by its only user, so that importing owflab
+    # does not load it.
+    import mpmath
+
     if beta <= 2:
         raise ValueError("the quotient is defined for beta > 2")
     if n < 2:
         raise ValueError("n must be >= 2")
     if d <= 0:
         raise ValueError("d must be positive")
-    if alpha is None:
-        alpha = derive_constants(beta)[0]
-    alpha = Fraction(alpha)
-    _, gamma = derive_constants(beta)
-    with mpmath.workprec(precision_bits):
+    alpha, gamma = derive_constants(beta)
+    with mpmath.workprec(192):
         dd = mpmath.mpf(d)
         nb = mpmath.mpf(n) ** beta
         N = mpmath.mpf(n) ** (2 * beta)
@@ -381,10 +369,11 @@ def quotient_ratio(
         )
 
 
-def threshold_table_rows(n_max: int, n_min: int = 4):
+def threshold_table_rows(n_max: int):
     """Rows (N, good, m*, mu_lower, mu_upper, Pr(Q_m*), Pr(Q_m*+1)) over the
-    full nondegenerate grid; used by the CLI table writer."""
-    for N in range(n_min, n_max + 1):
+    full nondegenerate grid for N in [4, n_max]; used by the CLI table
+    writer."""
+    for N in range(4, n_max + 1):
         for good in range(1, N):
             mstar = exact_threshold(N, good)
             mb = mu_bounds(N, Fraction(good, N), check_sandwich=False)

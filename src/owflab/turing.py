@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, InvariantViolation
 from .words import Word
@@ -74,10 +74,6 @@ class TMSpec:
     rows: tuple[tuple[Transition, Transition, Transition], ...]
     start_state: int
 
-    @property
-    def n_states(self) -> int:
-        return self.n_work + 2
-
 
 CANONICAL_REJECT = TMSpec(n_work=0, rows=(), start_state=REJECT)
 ACCEPT_IMMEDIATELY = TMSpec(n_work=0, rows=(), start_state=ACCEPT)
@@ -96,24 +92,12 @@ class SimResult(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
-class TimeBounds:
-    """Runtime budget pair: t is carried symbolically, T gates simulations."""
-
-    t: Callable[[int], int]
-    T: Callable[[int], int]
-
-
 def subexponential_t(x: int) -> int:
     """2**sqrt(log2(x) * log2(log2(x))), the canonical subexponential scale."""
     if x < 3:
         return 1
     lg = math.log2(x)
     return max(1, math.ceil(2.0 ** math.sqrt(lg * math.log2(lg))))
-
-
-def default_time_bounds() -> TimeBounds:
-    return TimeBounds(t=subexponential_t, T=lambda x: 2**x)
 
 
 def header_length(length: int) -> int:
@@ -228,11 +212,9 @@ def simulate(spec: TMSpec, input_word: Word, budget: int) -> SimResult:
         steps += 1
 
 
-def diagonal_member(w: Word, bounds: TimeBounds | None = None) -> bool:
+def diagonal_member(w: Word) -> bool:
     """Membership in the toy diagonal language: the machine encoded by ``w``
-    halts and rejects ``w`` within T(len(w)) steps."""
-    if bounds is None:
-        bounds = default_time_bounds()
+    halts and rejects ``w`` within T(len(w)) = 2**len(w) steps."""
     length = len(w)
     if length < 1:
         raise ValueError("diagonal membership needs a nonempty word")
@@ -242,18 +224,18 @@ def diagonal_member(w: Word, bounds: TimeBounds | None = None) -> bool:
             f"{DIAGONAL_LENGTH_GUARD} (T grows as 2**length)"
         )
     spec = decode_program(w).spec
-    outcome, _ = simulate(spec, w, bounds.T(length))
+    outcome, _ = simulate(spec, w, 2**length)
     return outcome == "reject"
 
 
-def diagonal_census(length: int, bounds: TimeBounds | None = None) -> int:
+def diagonal_census(length: int) -> int:
     """|L_D intersected with {0,1}**length| by exhaustive simulation."""
     if length > CENSUS_LENGTH_GUARD:
         raise BudgetError(f"census guard is length <= {CENSUS_LENGTH_GUARD}")
     count = 0
     for v in range(2**length):
         w = format(v, f"0{length}b")
-        if diagonal_member(w, bounds):
+        if diagonal_member(w):
             count += 1
     return count
 
@@ -269,13 +251,11 @@ def equivalent_encoding_count(length: int) -> int:
     return count
 
 
-def census_csv_rows(
-    max_length: int, bounds: TimeBounds | None = None
-) -> Iterator[tuple[int, int, int]]:
+def census_csv_rows(max_length: int) -> Iterator[tuple[int, int, int]]:
     """Rows (length, diagonal count, header class count)."""
     for length in range(1, max_length + 1):
         yield (
             length,
-            diagonal_census(length, bounds),
+            diagonal_census(length),
             2 ** header_length(length),
         )

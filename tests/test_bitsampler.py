@@ -78,16 +78,6 @@ def test_seed_expansion_matches_documented_construction():
         expand_seed_bits(2**64, 8)
 
 
-def test_tape_from_spec_and_file(tmp_path):
-    t1 = BitTape.from_spec("seed:123", 64)
-    t2 = BitTape.from_seed(123, 64)
-    assert t1.take_bits(64) == t2.take_bits(64)
-    path = tmp_path / "tape.txt"
-    path.write_text("1011 0010\n1100")
-    t3 = BitTape.from_file(path)
-    assert t3.take_bits(12) == "101100101100"
-
-
 def test_bias_profile_example():
     bp = bias_profile(3, 3)
     assert bp.counts == (3, 3, 2)
@@ -194,11 +184,10 @@ def test_permutation_distribution_budget():
 
 def test_select_subset_edges():
     urn = (10, 20, 30, 40)
-    res = select_subset(BitTape.from_seed(1, 4 * 6), 0, urn, 6)
-    assert res.chosen == ()
-    assert res.consumed == 4 * 6  # the permutation is drawn regardless
-    res = select_subset(BitTape.from_seed(1, 4 * 6), 4, urn, 6)
-    assert res.chosen == (10, 20, 30, 40)
+    tape = BitTape.from_seed(1, 4 * 6)
+    assert select_subset(tape, 0, urn, 6) == ()
+    assert tape.cursor == 4 * 6  # the permutation is drawn regardless
+    assert select_subset(BitTape.from_seed(1, 4 * 6), 4, urn, 6) == (10, 20, 30, 40)
     with pytest.raises(ValueError):
         select_subset(BitTape.from_seed(1, 64), 5, urn, 6)
 
@@ -207,10 +196,11 @@ def test_select_subset_cardinality_and_membership():
     urn = tuple(range(1, 17))
     for m in (1, 7, 16):
         tape = BitTape.from_seed(42, 16 * practical_k(16))
-        res = select_subset(tape, m, urn, practical_k(16))
-        assert len(res.chosen) == m
-        assert set(res.chosen) <= set(urn)
-        assert res.tape is tape
+        chosen = select_subset(tape, m, urn, practical_k(16))
+        assert len(chosen) == m
+        assert set(chosen) <= set(urn)
+        assert chosen == tuple(sorted(chosen))
+        assert tape.cursor == 16 * practical_k(16)
 
 
 def test_subset_distribution_near_uniform():

@@ -293,6 +293,25 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys, values):
     assert "config key" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["sample", "--trials", "1000", "--alpha", "1/0"], None),
+        (["owf", "--alpha", "1/0"], None),
+        (["owf"], {"alpha": "0/0"}),
+    ],
+    ids=["sample-flag", "owf-flag", "owf-config"],
+)
+def test_zero_denominator_alpha_is_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
 def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):
     assert run_cli(["owf", "--config", str(tmp_path / "absent.json")]) == 2
     cfg = tmp_path / "cfg.json"

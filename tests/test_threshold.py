@@ -239,10 +239,9 @@ def test_draw_count_nondegenerate():
 
 
 def test_sampler_params_fields():
-    params = sampler_params(3, 2, alpha=8, d=0.3)
+    params = sampler_params(3, 2, alpha=8)
     assert params.N == 3**4 and params.s == 3**3
     assert params.p_upper == Fraction(9, 81)
-    assert params.p_lower == pytest.approx(0.3 * 9 / 81)
     assert not params.alpha_derived
     auto = sampler_params(2, 3)
     assert auto.alpha == Fraction(18) and auto.alpha_derived
