@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import BudgetError, InvariantViolation
+from .errors import BudgetError
 from .words import Word, goedel_inverse, word_value
 
 ENUMERATION_BUDGET = 10_000_000
@@ -48,25 +48,6 @@ class LanguageOracle:
         if self.d_pow_beta is None:
             return None
         return float(self.d_pow_beta) ** (1.0 / self.beta)
-
-
-@dataclass(frozen=True)
-class BoundViolation:
-    x: int
-    kind: str  # "lower" or "upper"
-    dens: int
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    oracle_name: str
-    x0: int
-    limit: int
-    violations: tuple[BoundViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _iroot(value: int, r: int) -> int:
@@ -190,16 +171,6 @@ def density_scan(oracle: LanguageOracle, limit: int) -> Iterator[tuple[int, int]
         yield x, count
 
 
-def density(oracle: LanguageOracle, x: int) -> int:
-    """Exact number of member words with Goedel number <= x."""
-    if x < 1:
-        raise ValueError("density is defined for x >= 1")
-    dens = 0
-    for _, dens in density_scan(oracle, x):
-        pass
-    return dens
-
-
 def lower_bound_holds(oracle: LanguageOracle, x: int, dens: int) -> bool:
     """Exact check of d * x**(1/beta) <= dens via d**beta * x <= dens**beta."""
     if oracle.d_pow_beta is None:
@@ -211,46 +182,6 @@ def lower_bound_holds(oracle: LanguageOracle, x: int, dens: int) -> bool:
 def upper_bound_holds(x: int, dens: int) -> bool:
     """Exact check of dens <= sqrt(x)."""
     return dens * dens <= x
-
-
-def density_bound_report(oracle: LanguageOracle, limit: int) -> DensityReport:
-    """Check both claimed bounds pointwise over [x0, limit].
-
-    Violations are returned as data, never raised: the trivial full language
-    violates the sqrt ceiling everywhere, and that is a legitimate finding.
-    """
-    violations: list[BoundViolation] = []
-    for x, dens in density_scan(oracle, limit):
-        if x < oracle.x0:
-            continue
-        if not lower_bound_holds(oracle, x, dens):
-            violations.append(BoundViolation(x, "lower", dens))
-        if not upper_bound_holds(x, dens):
-            violations.append(BoundViolation(x, "upper", dens))
-    return DensityReport(oracle.name, oracle.x0, limit, tuple(violations))
-
-
-def calibrate_d_pow_beta(oracle: LanguageOracle, limit: int) -> Fraction:
-    """Largest admissible d**beta over the scanned range: the pointwise
-    minimum of dens(x)**beta / x for x in [oracle.x0, limit].
-
-    This is the calibration scan that fixes an oracle's lower-bound constant
-    empirically; any stored d_pow_beta at or below the returned value holds
-    with zero violations on the scanned range.
-    """
-    x0 = oracle.x0
-    if limit < x0:
-        raise ValueError("the scan range [x0, limit] is empty")
-    best: Fraction | None = None
-    for x, dens in density_scan(oracle, limit):
-        if x < x0:
-            continue
-        ratio = Fraction(dens**oracle.beta, x)
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise InvariantViolation(f"no density point in [{x0}, {limit}]")
-    return best
 
 
 def density_csv_rows(

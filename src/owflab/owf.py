@@ -24,7 +24,7 @@ recovered with logarithmically many decisions by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,10 +59,6 @@ class InstanceSet:
                 f"members {self.members} outside the urn [1, {self.urn_bound}]"
             )
 
-    def indicator_word(self) -> Word:
-        present = set(self.members)
-        return "".join("1" if i in present else "0" for i in range(1, self.urn_bound + 1))
-
 
 @dataclass(frozen=True)
 class OwfOutput:
@@ -76,10 +72,6 @@ class OwfOutput:
         bounds = {w.urn_bound for w in self.sets}
         if len(cards) > 1 or len(bounds) > 1:
             raise InvariantViolation("output shape must not vary")
-
-    def encode(self) -> Word:
-        """Fixed-width indicator encoding, n * N bits."""
-        return "".join(w.indicator_word() for w in self.sets)
 
 
 def compute_n(ell: int, beta: int) -> int:
@@ -216,29 +208,10 @@ class BijectivityReport:
     # for reference only; the b=1 analogue carries an unpinned constant.
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": {
-                "n": self.n,
-                "beta": self.beta,
-                "N": self.N,
-                "m": self.m,
-                "good_count": self.good_count,
-                "trials": self.trials,
-                "k_profile": self.k_profile,
-            },
-            "miss0": self.miss0,
-            "miss1": self.miss1,
-            "exact0": self.exact0,
-            "exact1": self.exact1,
-            "z0": self.z0,
-            "z1": self.z1,
-            "criterion_value": self.criterion_value,
-            "criterion_satisfied": self.criterion_satisfied,
-            "e_ell_frequency": self.e_ell_frequency,
-            "orientation": self.orientation,
-            "bits_consumed": self.bits_consumed,
-            "reference_success0_lower": self.reference_success0_lower,
-        }
+        # The remaining fields are already in report order.
+        fields = asdict(self)
+        params = ("n", "beta", "N", "m", "good_count", "trials", "k_profile")
+        return {"params": {key: fields.pop(key) for key in params}, **fields}
 
 
 def sampling_error_experiment(

@@ -32,6 +32,8 @@ from .errors import InvariantViolation
 
 DEFAULT_ALPHA_SMALL_BETA = Fraction(8)  # convention for beta <= 2, where the
 # closed form for alpha blows up; any alpha > 1 is admissible there.
+ALPHA_TERM_LIMIT = 10**5  # m is found by raising integers to alpha's
+# numerator and denominator, so their size bounds the cost of sampler_params.
 
 
 def hit_probability(N: int, good: int, k: int) -> Fraction:
@@ -216,6 +218,10 @@ def sampler_params(
     alpha = Fraction(alpha)
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
+    if max(alpha.numerator, alpha.denominator) > ALPHA_TERM_LIMIT:
+        raise ValueError(
+            f"alpha {alpha} has a numerator or denominator above {ALPHA_TERM_LIMIT}"
+        )
     N = n ** (2 * beta)
     s = n ** (2 * beta - 1)
     p_upper = Fraction(n**beta, N)
@@ -385,6 +391,7 @@ def threshold_table_rows(n_max: int):
 
 
 __all__ = [
+    "ALPHA_TERM_LIMIT",
     "BollobasVerdict",
     "DEFAULT_ALPHA_SMALL_BETA",
     "MuBounds",

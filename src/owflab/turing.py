@@ -32,7 +32,6 @@ reported as one step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -46,7 +45,6 @@ SYMBOL_0 = 0
 SYMBOL_1 = 1
 BLANK = 2
 
-MOVE_LEFT = 0
 MOVE_RIGHT = 1
 
 MAX_WORKING_STATES = 14  # total states S + 2 <= 16
@@ -76,7 +74,6 @@ class TMSpec:
 
 
 CANONICAL_REJECT = TMSpec(n_work=0, rows=(), start_state=REJECT)
-ACCEPT_IMMEDIATELY = TMSpec(n_work=0, rows=(), start_state=ACCEPT)
 
 
 @dataclass(frozen=True)
@@ -90,14 +87,6 @@ class PaddedProgram:
 class SimResult(NamedTuple):
     outcome: str  # "accept" | "reject" | "timeout"
     steps: int
-
-
-def subexponential_t(x: int) -> int:
-    """2**sqrt(log2(x) * log2(log2(x))), the canonical subexponential scale."""
-    if x < 3:
-        return 1
-    lg = math.log2(x)
-    return max(1, math.ceil(2.0 ** math.sqrt(lg * math.log2(lg))))
 
 
 def header_length(length: int) -> int:

@@ -74,10 +74,6 @@ def min_word(y: int) -> Word:
     return bin(y)[2:]
 
 
-def is_power_of_two(y: int) -> bool:
-    return y >= 1 and (y & (y - 1)) == 0
-
-
 def gn_of_integer(y: int) -> GoedelIndex:
     """Goedel number of the minimal binary representation of ``y``.
 

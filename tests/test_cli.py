@@ -312,6 +312,12 @@ def test_zero_denominator_alpha_is_usage_error(tmp_path, capsys, args, config):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+def test_oversized_alpha_is_usage_error(capsys):
+    assert run_cli(["owf", "--alpha", "100001"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "above 100000" in err
+
+
 def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):
     assert run_cli(["owf", "--config", str(tmp_path / "absent.json")]) == 2
     cfg = tmp_path / "cfg.json"

@@ -1,14 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from owflab.cli import main
 from owflab.errors import BudgetError
 from owflab.languages import (
     SQ,
     LanguageOracle,
-    density,
-    density_bound_report,
     density_csv_rows,
     density_scan,
     empty_oracle,
@@ -18,7 +18,22 @@ from owflab.languages import (
     sigma_star_oracle,
     sq_member,
 )
-from owflab.words import gn_of_integer, goedel_inverse, min_word
+from owflab.words import gn_of_integer, min_word
+
+
+def density(oracle, x):
+    """dens(x): the count at the end of a scan to x."""
+    dens = 0
+    for _, dens in density_scan(oracle, x):
+        pass
+    return dens
+
+
+def density_report(capsys, oracle, ell):
+    """Exit code and JSON report of ``owflab density``, which counts the
+    points x >= x0 where a claimed bound fails."""
+    code = main(["density", "--oracle", oracle, "--ell", str(ell), "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
 
 
 def brute_density_of_values(pred, x):
@@ -123,20 +138,22 @@ def test_power_oracle_density_band():
     assert dens**3 <= 10**4
 
 
-def test_sq_bound_report_is_clean():
-    # Unit-scale scan; the acceptance suite pushes the ceiling check to 1e5.
-    report = density_bound_report(SQ, 5000)
-    assert report.ok
-    assert report.x0 == 16
+def test_sq_bound_report_is_clean(capsys):
+    # Both bounds on [x0, 20000]; the acceptance suite pushes the ceiling
+    # check to 1e5.
+    assert SQ.x0 == 16
+    code, report = density_report(capsys, "sq", 20_000)
+    assert (code, report["violations"]) == (0, 0)
 
 
-def test_full_language_report_flags_upper_bound():
-    report = density_bound_report(sigma_star_oracle(), 100)
-    upper = [v for v in report.violations if v.kind == "upper"]
-    # dens(x) = x exceeds sqrt(x) for every x >= 2
-    assert [v.x for v in upper] == list(range(2, 101))
-    assert all(v.dens == v.x for v in upper)
-    assert not [v for v in report.violations if v.kind == "lower"]
+def test_full_language_report_flags_upper_bound(capsys):
+    code, report = density_report(capsys, "sigma-star", 100)
+    # dens(x) = x exceeds sqrt(x) for every x >= 2; with d**beta = 1 the
+    # lower bound x <= dens holds throughout, so these are all the failures.
+    assert (code, report["violations"]) == (1, 99)
+    over = [row for row in report["rows"] if row["dens"] ** 2 > row["x"]]
+    assert [row["x"] for row in over] == list(range(2, 101))
+    assert all(row["dens"] == row["x"] for row in over)
 
 
 def test_csv_rows_shape():
@@ -148,17 +165,13 @@ def test_csv_rows_shape():
     assert upper == pytest.approx(5.0)
 
 
-def test_calibration_scan_supports_the_stored_constants():
-    # The stored d**beta must sit at or below the scanned admissible maximum,
-    # for the square oracle and for a power oracle alike.
-    from owflab.languages import calibrate_d_pow_beta
-
-    best_sq = calibrate_d_pow_beta(SQ, 20_000)
-    assert SQ.d_pow_beta <= best_sq
-    cube = power_oracle(3)
-    assert cube.d_pow_beta <= calibrate_d_pow_beta(cube, 20_000)
-    with pytest.raises(ValueError):
-        calibrate_d_pow_beta(SQ, 10)  # below x0: empty scan range
+def test_calibration_scan_supports_the_stored_constants(capsys):
+    # A stored d**beta at or below the minimum of dens(x)**beta / x over
+    # [x0, ell] is the same fact as no lower-bound violation there, for the
+    # square oracle and for a power oracle alike.
+    for oracle in ("sq", "cube"):
+        code, report = density_report(capsys, oracle, 20_000)
+        assert (code, report["violations"]) == (0, 0), oracle
 
 
 def test_oracle_d_property():

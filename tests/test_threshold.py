@@ -251,6 +251,16 @@ def test_sampler_params_fields():
         sampler_params(2, 2, alpha=1)
 
 
+def test_sampler_params_bounds_the_size_of_alpha():
+    # The exact step raises integers to alpha's numerator and denominator;
+    # past the limit of 10**5 the cost would grow without bound.
+    assert sampler_params(4, 2, alpha=100_000).m >= 1
+    assert sampler_params(4, 2, alpha=Fraction(100_000, 7)).m >= 1
+    for alpha in (Fraction(100_001), Fraction(100_001, 2), Fraction(200_001, 100_001)):
+        with pytest.raises(ValueError, match="above 100000"):
+            sampler_params(4, 2, alpha=alpha)
+
+
 def test_bollobas_at_threshold():
     v = bollobas_check(4, 2, 1, 1)
     assert v.regime == "below" and v.holds and v.pr == Fraction(1, 2)

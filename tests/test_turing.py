@@ -4,7 +4,7 @@ import pytest
 
 from owflab.errors import BudgetError
 from owflab.turing import (
-    ACCEPT_IMMEDIATELY,
+    ACCEPT,
     CANONICAL_REJECT,
     TMSpec,
     Transition,
@@ -17,8 +17,10 @@ from owflab.turing import (
     header_length,
     parse_code,
     simulate,
-    subexponential_t,
 )
+
+# The machine a code with no working states denotes: it accepts at once.
+ACCEPT_IMMEDIATELY = TMSpec(n_work=0, rows=(), start_state=ACCEPT)
 
 # One working state that scans right forever, writing back what it reads.
 RIGHT_SCANNER = TMSpec(
@@ -168,10 +170,3 @@ def test_header_classes_partition_exhaustively():
         for members in classes.values():
             specs = {decode_program(w).spec for w in members}
             assert len(specs) == 1
-
-
-def test_time_bounds():
-    assert subexponential_t(2) == 1
-    # subexponential: grows, but far below 2**x
-    assert subexponential_t(2**20) < 2**20
-    assert subexponential_t(2**20) > subexponential_t(2**10)

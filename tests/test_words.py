@@ -6,7 +6,6 @@ from owflab.words import (
     gn_of_integer,
     goedel_inverse,
     goedel_number,
-    is_power_of_two,
     min_word,
     word_value,
 )
@@ -54,7 +53,7 @@ def test_gn_of_integer_matches_padding_formula():
     # two.  The implementation uses bit_length; this checks the closed form.
     for y in range(1, 5000):
         ceil_log = (y - 1).bit_length()
-        c = 1 if is_power_of_two(y) else 0
+        c = 1 if y & (y - 1) == 0 else 0
         assert gn_of_integer(y) == 2 ** (ceil_log + c) + y
         assert gn_of_integer(y) == goedel_number(min_word(y))
 
