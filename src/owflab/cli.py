@@ -17,37 +17,12 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance, bitsampler, languages, owf, threshold, turing
 from .errors import BudgetError, DegenerateParameters, TapeExhausted
 
-DEFAULTS = {
-    "seed": 1,
-    "beta": 2,
-    "alpha": None,
-    "n": 100,
-    "ell": 1000,
-    "trials": 10_000,
-    "oracle": "sq",
-    "k_profile": "practical",
-    "format": "csv",
-    "out": "-",
-}
-
-# Per-command defaults layered over the globals (sample's n is a base size,
-# not a table limit).
-PER_COMMAND_DEFAULTS = {
-    "sample": {"n": 2, "format": "json"},
-    "owf": {"ell": 600, "beta": 1, "alpha": "8", "format": "json",
-            "k_profile": "paper"},
-    "census": {"ell": turing.CENSUS_LENGTH_GUARD},
-}
-
-# Commands whose report nests lists and objects, which a CSV table cannot hold.
-JSON_ONLY = ("sample", "owf")
-
-# (type, choices) of each shared flag.  argparse applies them to flags, and
+# (type, choices) of each flag.  argparse applies them to flags, and
 # _merge_config holds --config file values to the same.
 FLAG_TYPES = {
     "seed": (int, None),
@@ -69,37 +44,30 @@ EXIT_CRASH = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    for key, (kind, choices) in FLAG_TYPES.items():
-        common.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=key,
-            type=kind,
-            choices=choices,
-            help="rational like 8 or 50/3" if key == "alpha" else None,
-        )
-
     parser = argparse.ArgumentParser(
         prog="owflab",
         description="verification tables and experiments for the "
         "threshold-sampling construction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("density", parents=[common], help="density table up to x = ELL")
-    sub.add_parser(
-        "threshold", parents=[common], help="sandwich table and regime grid, N in [4, N]"
-    )
-    sub.add_parser("verify-all", parents=[common], help="run the acceptance suite")
-    sub.add_parser("sample", parents=[common], help="sampling-error experiment report")
-    sub.add_parser("owf", parents=[common], help="evaluate the bit encoder once")
-    sub.add_parser("census", parents=[common], help="diagonal census up to ELL")
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        cmd.add_argument("--config", help="JSON file of flag defaults (flags win)")
+        for key in command.flags:
+            kind, choices = FLAG_TYPES[key]
+            cmd.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=kind,
+                choices=choices,
+                help="rational like 8 or 50/3" if key == "alpha" else None,
+            )
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    merged.update(PER_COMMAND_DEFAULTS.get(args.command, {}))
+    flags = COMMANDS[args.command].flags
+    merged = dict(flags)
     if args.config:
         try:
             with open(args.config) as fh:
@@ -108,14 +76,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise SystemExit(f"cannot read config file: {exc}") from None
         if not isinstance(file_values, dict):
             raise SystemExit("the config file must hold a JSON object")
-        unknown = set(file_values) - set(DEFAULTS)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
+            if key not in flags:
+                raise SystemExit(
+                    f"config key {key!r}: owflab {args.command} has no such flag"
+                )
             _check_config_value(key, value)
         merged.update(file_values)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -124,9 +93,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _check_config_value(key: str, value) -> None:
     """Refuse a file value the flag would not accept.  JSON values are
     already typed, so they are checked rather than converted: "7" is not an
-    integer, and true is not one either.  null keeps a default of null."""
+    integer, and true is not one either.  An alpha of null asks for the
+    alpha derived from beta."""
     kind, choices = FLAG_TYPES[key]
-    if value is None and DEFAULTS[key] is None:
+    if value is None and key == "alpha":
         return
     if type(value) is not kind:
         want = "an integer" if kind is int else "a string"
@@ -142,7 +112,7 @@ def _resolve_oracle(name: str) -> languages.LanguageOracle:
         return languages.power_oracle(3)
     if name.startswith("power:"):
         return languages.power_oracle(int(name.split(":", 1)[1]))
-    if name in ("sigma-star", "all"):
+    if name == "sigma-star":
         return languages.sigma_star_oracle()
     if name == "empty":
         return languages.empty_oracle()
@@ -219,7 +189,7 @@ def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> s
     return out.getvalue()
 
 
-def _cmd_density(cfg: dict) -> int:
+def _cmd_density(cfg: dict) -> tuple[dict, bool]:
     oracle = _resolve_oracle(cfg["oracle"])
     limit = cfg["ell"]
     rows = list(languages.density_csv_rows(oracle, limit))
@@ -230,17 +200,15 @@ def _cmd_density(cfg: dict) -> int:
             and languages.upper_bound_holds(x, dens)
         ):
             violations += 1
-    fields = {
+    return {
         "oracle": oracle.name,
         "limit": limit,
         "violations": violations,
         "rows": Table(("x", "dens", "lower_bound", "upper_bound"), rows),
-    }
-    _write(cfg["out"], render(cfg["format"], "density", fields))
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+    }, not violations
 
 
-def _cmd_threshold(cfg: dict) -> int:
+def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
     n_max = cfg["n"]
     sandwich_rows = []
     violations = 0
@@ -256,7 +224,7 @@ def _cmd_threshold(cfg: dict) -> int:
         grid_rows.append((v.N, v.good, int(v.theta), v.m, v.regime, v.holds))
         if v.holds is False:
             violations += 1
-    fields = {
+    return {
         "n_max": n_max,
         "violations": violations,
         "sandwich": Table(
@@ -265,12 +233,10 @@ def _cmd_threshold(cfg: dict) -> int:
             sandwich_rows,
         ),
         "bollobas_grid": Table(("N", "good", "theta", "m", "regime", "holds"), grid_rows),
-    }
-    _write(cfg["out"], render(cfg["format"], "threshold", fields))
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+    }, not violations
 
 
-def _cmd_verify_all(cfg: dict) -> int:
+def _cmd_verify_all(cfg: dict) -> tuple[dict, bool]:
     config = acceptance.VerifyConfig(
         seed=cfg["seed"],
         trials=cfg["trials"],
@@ -282,12 +248,10 @@ def _cmd_verify_all(cfg: dict) -> int:
         result = acceptance.run_criterion(crit.ident, config)
         print(result.line(), file=sys.stderr)
         results.append(result)
-    fields = acceptance.report_fields(results, config)
-    _write(cfg["out"], render(cfg["format"], "verify-all", fields))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATIONS
+    return acceptance.report_fields(results, config), all(r.passed for r in results)
 
 
-def _cmd_sample(cfg: dict) -> int:
+def _cmd_sample(cfg: dict) -> tuple[dict, bool]:
     oracle = _resolve_oracle(cfg["oracle"])
     report = owf.sampling_error_experiment(
         cfg["n"],
@@ -298,17 +262,16 @@ def _cmd_sample(cfg: dict) -> int:
         alpha=_parse_alpha(cfg["alpha"]),
         k_profile=cfg["k_profile"],
     )
-    _write(cfg["out"], render("json", "sample", report.to_json_dict()))
-    return EXIT_OK
+    return report.to_json_dict(), True
 
 
-def _cmd_owf(cfg: dict) -> int:
+def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
     ell = cfg["ell"]
     w = bitsampler.expand_seed_bits(cfg["seed"], ell)
     out = owf.owf_evaluate(
         w, cfg["beta"], k_profile=cfg["k_profile"], alpha=_parse_alpha(cfg["alpha"])
     )
-    fields = {
+    return {
         "ell": ell,
         "beta": cfg["beta"],
         "n": out.n,
@@ -317,26 +280,42 @@ def _cmd_owf(cfg: dict) -> int:
         "m_degenerate": out.params.m_degenerate,
         "bits_consumed": out.bits_consumed,
         "sets": [list(s.members) for s in out.sets],
-    }
-    _write(cfg["out"], render("json", "owf", fields))
-    return EXIT_OK
+    }, True
 
 
-def _cmd_census(cfg: dict) -> int:
+def _cmd_census(cfg: dict) -> tuple[dict, bool]:
     # A length past turing.CENSUS_LENGTH_GUARD raises BudgetError: exit 2.
     rows = list(turing.census_csv_rows(cfg["ell"]))
-    fields = {"rows": Table(("length", "diagonal_count", "header_classes"), rows)}
-    _write(cfg["out"], render(cfg["format"], "census", fields))
-    return EXIT_OK
+    return {"rows": Table(("length", "diagonal_count", "header_classes"), rows)}, True
 
 
-_COMMANDS = {
-    "density": _cmd_density,
-    "threshold": _cmd_threshold,
-    "verify-all": _cmd_verify_all,
-    "sample": _cmd_sample,
-    "owf": _cmd_owf,
-    "census": _cmd_census,
+class Command(NamedTuple):
+    """An owflab command: the handler, which returns the report's fields and
+    whether the run found no violations; the help line; and each flag the
+    handler reads, with its default.  A command without --format writes
+    JSON, since its report nests lists and objects that CSV cannot hold."""
+
+    run: Callable[[dict], tuple[dict, bool]]
+    help: str
+    flags: dict
+
+
+COMMANDS = {
+    "density": Command(_cmd_density, "density table up to x = ELL",
+                       {"oracle": "sq", "ell": 1000, "format": "csv", "out": "-"}),
+    "threshold": Command(_cmd_threshold, "sandwich table and regime grid, N in [4, N]",
+                         {"n": 100, "format": "csv", "out": "-"}),
+    "verify-all": Command(_cmd_verify_all, "run the acceptance suite",
+                          {"seed": 1, "trials": 10_000, "k_profile": "practical",
+                           "format": "csv", "out": "-"}),
+    "sample": Command(_cmd_sample, "sampling-error experiment report",
+                      {"seed": 1, "n": 2, "beta": 2, "alpha": None, "trials": 10_000,
+                       "oracle": "sq", "k_profile": "practical", "out": "-"}),
+    "owf": Command(_cmd_owf, "evaluate the bit encoder once",
+                   {"seed": 1, "ell": 600, "beta": 1, "alpha": "8", "k_profile": "paper",
+                    "out": "-"}),
+    "census": Command(_cmd_census, "diagonal census up to ELL",
+                      {"ell": turing.CENSUS_LENGTH_GUARD, "format": "csv", "out": "-"}),
 }
 
 
@@ -345,9 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
-        if args.command in JSON_ONLY and cfg["format"] != "json":
-            raise SystemExit(f"owflab {args.command} writes JSON only, not --format csv")
-        return _COMMANDS[args.command](cfg)
+        fields, passed = COMMANDS[args.command].run(cfg)
+        _write(cfg["out"], render(cfg.get("format", "json"), args.command, fields))
+        return EXIT_OK if passed else EXIT_VIOLATIONS
     except (BudgetError, DegenerateParameters, TapeExhausted, ValueError) as exc:
         print(f"owflab: {exc}", file=sys.stderr)
         return EXIT_USAGE

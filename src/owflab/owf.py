@@ -261,7 +261,7 @@ def sampling_error_experiment(
         if good_positions.isdisjoint(w1.members):
             misses1 += 1
         g_t = sum(1 for i in urn1 if i in good_positions)
-        p_t = Fraction(math.comb(n - g_t, m), math.comb(n, m))
+        p_t = 1 - hit_probability(n, g_t, m)
         exact1_sum += p_t
         exact1_var += float(p_t) * float(1 - p_t)
         bits_consumed += tape0.cursor + tape1.cursor

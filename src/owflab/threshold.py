@@ -91,7 +91,6 @@ class MuBounds(NamedTuple):
     lower: int  # floor(1 + N(1-p) - r), may be negative
     upper: int  # ceil(N - r)
     lower_clamped: int  # max(0, lower): draw counts cannot be negative
-    root: float  # the root term r, for reporting
 
 
 def _validate_p(N: int, p: Fraction) -> int:
@@ -136,10 +135,8 @@ def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
         raise ValueError("the bounds need N >= 2")
     good = _validate_p(N, p)
     ff = math.perm(N, good)
-    # r = (ff/2)**(1/good) in floats: the reported root, and the start of
-    # the exact bracketing.
-    root = math.exp((math.log(ff) - math.log(2)) / good)
-    floor_r = max(0, int(root))
+    # r = (ff/2)**(1/good) in floats: the start of the exact bracketing.
+    floor_r = max(0, int(math.exp((math.log(ff) - math.log(2)) / good)))
     while 2 * floor_r**good > ff:
         floor_r -= 1
     while 2 * (floor_r + 1) ** good <= ff:
@@ -147,7 +144,7 @@ def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
     ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
     lower = 1 + (N - good) - ceil_r
     upper = N - floor_r
-    return MuBounds(lower, upper, max(0, lower), root)
+    return MuBounds(lower, upper, max(0, lower))
 
 
 def derive_constants(beta: int | Fraction) -> tuple[Fraction, Fraction]:
@@ -164,19 +161,15 @@ def derive_constants(beta: int | Fraction) -> tuple[Fraction, Fraction]:
 class SamplerParams:
     """Derived sampling parameters for base size n and density exponent beta.
 
-    N = n**(2*beta) is the full urn, s = n**(2*beta - 1) the thinning factor
-    (so the thinned urn has N/s = n elements), p_upper = sqrt(N)/N bounds
-    the marked fraction, and m is the draw count
-    floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1.
+    N = n**(2*beta) is the full urn and m is the draw count
+    floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, where
+    p_upper = sqrt(N)/N bounds the marked fraction.
     """
 
     n: int
     beta: int
     alpha: Fraction
-    alpha_derived: bool
     N: int
-    s: int
-    p_upper: Fraction
     m: int
     m_degenerate: bool
 
@@ -212,7 +205,6 @@ def sampler_params(
         raise ValueError("base size n must be >= 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
-    derived = alpha is None
     if alpha is None:
         alpha = derive_constants(beta)[0] if beta > 2 else DEFAULT_ALPHA_SMALL_BETA
     alpha = Fraction(alpha)
@@ -223,19 +215,14 @@ def sampler_params(
             f"alpha {alpha} has a numerator or denominator above {ALPHA_TERM_LIMIT}"
         )
     N = n ** (2 * beta)
-    s = n ** (2 * beta - 1)
-    p_upper = Fraction(n**beta, N)
     # The unclamped draw count; below 1 it is clamped and flagged degenerate.
-    mu = mu_bounds_exact(N, p_upper).lower if N >= 2 else 0
+    mu = mu_bounds_exact(N, Fraction(n**beta, N)).lower if N >= 2 else 0
     m = _floor_scaled_by_root(mu, N, alpha)
     return SamplerParams(
         n=n,
         beta=beta,
         alpha=alpha,
-        alpha_derived=derived,
         N=N,
-        s=s,
-        p_upper=p_upper,
         m=max(1, m),
         m_degenerate=m < 1,
     )

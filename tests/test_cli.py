@@ -1,11 +1,13 @@
 import csv
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from owflab import acceptance, cli, turing
+from owflab import acceptance, cli, owf, turing
 from owflab.cli import main
 
 
@@ -214,10 +216,10 @@ def test_criterion_detail_survives_csv():
 
 @pytest.mark.parametrize("command", ["sample", "owf"])
 def test_json_only_commands_refuse_csv(tmp_path, capsys, command):
+    # A JSON-only command has no --format flag at all.
     out = tmp_path / "report.csv"
     assert run_cli([command, "--format", "csv", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "JSON only" in err
+    assert "--format" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -334,11 +336,118 @@ def test_config_file_typed_values_run(tmp_path):
     assert json.loads(out.read_text())["sets"] == [[4], [3]]
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["verify-all", "--trials", "1000", "--oracle", "cube"], None),
+        (["census", "--seed", "4"], None),
+        (["density", "--trials", "5"], None),
+        (["density"], {"beta": 3}),
+    ],
+    ids=["verify-all-oracle", "census-seed", "density-trials", "density-config-beta"],
+)
+def test_unread_flag_or_config_key_is_usage_error(tmp_path, args, config):
+    # A run must not report parameters it never used.
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "report"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("owf", {}), ("sample", {"trials": 1000})],
+)
+def test_config_alpha_null_asks_for_the_derived_alpha(
+    tmp_path, monkeypatch, command, config
+):
+    # owf defaults alpha to "8", yet null in a config file still asks for
+    # the alpha derived from beta, 18 at beta = 3, as it does for sample.
+    alphas = []
+    sampler_params = owf.sampler_params
+
+    def recording(*args):
+        params = sampler_params(*args)
+        alphas.append(params.alpha)
+        return params
+
+    monkeypatch.setattr(owf, "sampler_params", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "alpha": None, "beta": 3}))
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert set(alphas) == {18}
+
+
+class RecordingConfig(dict):
+    """A merged config that records the keys read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+TINY_RUNS = {
+    "density": ["--ell", "10"],
+    "threshold": ["--n", "6"],
+    "verify-all": ["--trials", "50"],
+    "sample": ["--trials", "1000"],
+    "owf": [],
+    "census": ["--ell", "4"],
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_declared_flag_is_read(tmp_path, monkeypatch, command):
+    # A flag the command accepts but never reads would let a run claim
+    # parameters it did not use.
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", tuple(c for c in acceptance.CRITERIA if c.ident == "C6")
+    )
+    configs = []
+    merge = cli._merge_config
+
+    def recording_merge(args):
+        configs.append(RecordingConfig(merge(args)))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "_merge_config", recording_merge)
+    args = [command, *TINY_RUNS[command], "--out", str(tmp_path / "report")]
+    assert run_cli(args) == 0
+    (cfg,) = configs
+    assert cfg.read == set(cli.COMMANDS[command].flags)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = [
+        shlex.split(line) for line in block.splitlines() if line.startswith("owflab ")
+    ]
+    assert {words[1] for words in examples} == set(cli.COMMANDS)
+    parser = cli._build_parser()
+    for words in examples:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(words)}")
+
+
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):
     def crash(cfg):
         raise KeyError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "census", crash)
+    crashing = cli.COMMANDS["census"]._replace(run=crash)
+    monkeypatch.setitem(cli.COMMANDS, "census", crashing)
     assert run_cli(["census"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "KeyError" in err

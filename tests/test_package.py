@@ -70,15 +70,16 @@ def _definitions(tree: ast.Module):
 
 
 def _uses(tree: ast.Module):
-    """(name, line) of every name, attribute and imported name in a module."""
+    """(name, line, is_attribute) of every name, attribute and imported name
+    in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
 def test_every_public_name_has_a_caller():
@@ -86,22 +87,27 @@ def test_every_public_name_has_a_caller():
     # belongs in the tests, or nowhere.  A use inside a definition that has
     # no caller itself does not count, so dead code cannot keep dead code.
     trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    reached = {
-        name
-        for folder in (ROOT / "demos", ROOT / "owbench")
-        for path in sorted(folder.glob("*.py"))
-        for name, _ in _uses(_parse(path))
-    }
-    uses = defaultdict(list)  # name -> [(path, line)] inside the package
+    reached = defaultdict(set)  # name -> {is_attribute} in demos and owbench
+    for folder in (ROOT / "demos", ROOT / "owbench"):
+        for path in sorted(folder.glob("*.py")):
+            for name, _, is_attribute in _uses(_parse(path)):
+                reached[name].add(is_attribute)
+    uses = defaultdict(list)  # name -> [(path, line, is_attribute)] inside the package
     for path, tree in trees.items():
-        for name, line in _uses(tree):
-            uses[name].append((path, line))
+        for name, line, is_attribute in _uses(tree):
+            uses[name].append((path, line, is_attribute))
+
+    def counts(qualname, is_attribute):
+        # A method or property is reached only as an attribute, x.name: a
+        # bare name of the same spelling does not call it.
+        return is_attribute or "." not in qualname
+
     spans = {
         f"{path.stem}.{qualname}": (path, range(node.lineno, node.end_lineno + 1))
         for path, tree in trees.items()
         if path.name not in NO_CALLER_EXEMPT
         for qualname, node in _definitions(tree)
-        if qualname.rpartition(".")[2] not in reached
+        if not any(counts(qualname, attr) for attr in reached[qualname.rpartition(".")[2]])
     }
     uncalled: set[str] = set()
     while True:
@@ -110,7 +116,8 @@ def test_every_public_name_has_a_caller():
             excluded = [own, *(spans[dead] for dead in uncalled)]
             if all(
                 any(path == p and line in span for p, span in excluded)
-                for path, line in uses[label.rpartition(".")[2]]
+                for path, line, is_attribute in uses[label.rpartition(".")[2]]
+                if counts(label.partition(".")[2], is_attribute)
             ):
                 found.add(label)
         if found == uncalled:

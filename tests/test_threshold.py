@@ -125,7 +125,6 @@ def test_exact_threshold_nonincreasing_in_good():
 def test_mu_bounds_example_small():
     mb = mu_bounds(4, Fraction(1, 2))
     assert (mb.lower, mb.upper) == (0, 2)
-    assert mb.root == pytest.approx(math.sqrt(6))
 
 
 def test_mu_bounds_example_n100():
@@ -136,8 +135,6 @@ def test_mu_bounds_example_n100():
 
 def test_mu_bounds_degenerate_p_one():
     mb = mu_bounds(6, Fraction(1), check_sandwich=False)
-    # root = (6!/2)**(1/6) = 360**(1/6)
-    assert mb.root == pytest.approx(360 ** (1 / 6))
     assert mb.lower < 0
     assert mb.lower_clamped == 0
     assert 0 <= mb.upper
@@ -173,9 +170,8 @@ def urns(draw):
 def test_mu_bounds_match_kernel_property(urn):
     N, good = urn
     mb = mu_bounds(N, Fraction(good, N), check_sandwich=False)
-    lower, upper, root = kernel_bounds(N, good)
+    lower, upper, _ = kernel_bounds(N, good)
     assert (mb.lower, mb.upper) == (lower, upper)
-    assert mb.root == pytest.approx(root, rel=1e-12)
     assert mb.lower_clamped == max(0, lower)
 
 
@@ -215,7 +211,7 @@ def test_derive_constants():
 
 def draw_count(params):
     """(m, degenerate, mu_lower) of the sampler's draw count."""
-    mu_lower = mu_bounds_exact(params.N, params.p_upper).lower
+    mu_lower = mu_bounds_exact(params.N, Fraction(params.n**params.beta, params.N)).lower
     return params.m, params.m_degenerate, mu_lower
 
 
@@ -240,11 +236,9 @@ def test_draw_count_nondegenerate():
 
 def test_sampler_params_fields():
     params = sampler_params(3, 2, alpha=8)
-    assert params.N == 3**4 and params.s == 3**3
-    assert params.p_upper == Fraction(9, 81)
-    assert not params.alpha_derived
+    assert params.N == 3**4
     auto = sampler_params(2, 3)
-    assert auto.alpha == Fraction(18) and auto.alpha_derived
+    assert auto.alpha == Fraction(18)
     small = sampler_params(2, 2)
     assert small.alpha == DEFAULT_ALPHA_SMALL_BETA
     with pytest.raises(ValueError):
