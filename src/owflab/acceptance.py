@@ -65,7 +65,7 @@ def _criterion_1(config: VerifyConfig) -> tuple[bool, str]:
 def _criterion_2(config: VerifyConfig) -> tuple[bool, str]:
     upper_bad = 0
     for x, dens in languages.density_scan(languages.SQ, 10**5):
-        if dens > math.isqrt(x):
+        if not languages.upper_bound_holds(x, dens):
             upper_bad += 1
     ratio_bad = 0
     for y in range(1, 10**6 + 1):

@@ -16,12 +16,12 @@ power oracles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import BudgetError
-from .words import Word, goedel_inverse, word_value
+from .words import Word, goedel_inverse, iroot, word_value
 
 ENUMERATION_BUDGET = 10_000_000
 
@@ -50,29 +50,11 @@ class LanguageOracle:
         return float(self.d_pow_beta) ** (1.0 / self.beta)
 
 
-def _iroot(value: int, r: int) -> int:
-    """Largest integer t with t**r <= value (value >= 0, r >= 1)."""
-    if value < 0:
-        raise ValueError("negative value")
-    if r == 1:
-        return value
-    if r == 2:
-        return math.isqrt(value)
-    if value == 0:
-        return 0
-    t = int(round(value ** (1.0 / r)))
-    while t**r > value:
-        t -= 1
-    while (t + 1) ** r <= value:
-        t += 1
-    return t
-
-
 def is_perfect_power(value: int, r: int) -> bool:
     """True iff value = x**r for some integer x >= 1."""
     if value < 1:
         return False
-    return _iroot(value, r) ** r == value
+    return iroot(value, r) ** r == value
 
 
 def _canonical(w: Word) -> bool:
@@ -80,20 +62,12 @@ def _canonical(w: Word) -> bool:
     return bool(w) and w[0] == "1"
 
 
-def sq_member(w: Word) -> bool:
-    """True iff the word is the minimal binary form of a perfect square >= 1.
-
-    The empty word has value 0, which is excluded (0 is not counted as a
-    natural number here), and padded forms such as "0100" are rejected so
-    that each square is counted exactly once by the density function.
-    """
-    return _canonical(w) and is_perfect_power(word_value(w), 2)
-
-
 def power_oracle(r: int) -> LanguageOracle:
     """Oracle for minimal-form r-th powers, with beta = r.
 
-    The density of r-th powers up to Goedel number x is at least
+    Members are the minimal binary forms of x**r for x >= 1, so the empty
+    word (value 0) and padded forms such as "0100" are not members.  The
+    density of r-th powers up to Goedel number x is at least
     floor((x/5)**(1/r)) because gn(y) <= 5y, which stays above
     (1/2) * (x/5)**(1/r) once x >= 5 * 2**r; hence d**r = 1/(5 * 2**r).
     """
@@ -104,7 +78,7 @@ def power_oracle(r: int) -> LanguageOracle:
         return _canonical(w) and is_perfect_power(word_value(w), r)
 
     return LanguageOracle(
-        name=f"power{r}" if r != 2 else "sq",
+        name=f"power{r}",
         member=member,
         beta=r,
         d_pow_beta=Fraction(1, 5 * 2**r),
@@ -114,13 +88,7 @@ def power_oracle(r: int) -> LanguageOracle:
 
 # The square oracle keeps the (slightly stronger) constants fixed by a
 # calibration scan: d = 3/10 from x0 = 16 onwards.
-SQ = LanguageOracle(
-    name="sq",
-    member=sq_member,
-    beta=2,
-    d_pow_beta=Fraction(9, 100),
-    x0=16,
-)
+SQ = replace(power_oracle(2), name="sq", d_pow_beta=Fraction(9, 100), x0=16)
 
 
 def sigma_star_oracle() -> LanguageOracle:

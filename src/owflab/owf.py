@@ -157,7 +157,8 @@ def owf_evaluate(
     ell = len(w)
     n = compute_n(ell, beta)
     params = sampler_params(n, beta, alpha)
-    payload, tape = w[:n], BitTape(w[n:])
+    tape = BitTape(w)  # refuses a word with any character other than 0/1
+    payload = tape.take_bits(n)
     sets = []
     for i, c in enumerate(payload):
         b = 1 if c == "1" else 0
@@ -171,7 +172,7 @@ def owf_evaluate(
         instance, tape = ptsamp(b, n, tape, params, k_profile)
         sets.append(instance)
     return OwfOutput(
-        sets=tuple(sets), n=n, bits_consumed=tape.cursor, params=params
+        sets=tuple(sets), n=n, bits_consumed=tape.cursor - n, params=params
     )
 
 

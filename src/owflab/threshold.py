@@ -3,7 +3,7 @@
 The urn model: N elements, ``good`` of them marked.  Q_k is the event that a
 uniformly drawn k-subset contains at least one marked element,
 
-    Pr(Q_k) = 1 - C(N-good, k) / C(N, k),
+    Pr(Q_k) = 1 - C(N-good, k) / C(N, k) = 1 - perm(N-good, k) / perm(N, k),
 
 computed exactly as big-integer rationals.  The threshold is
 m*(N, p) = max{k : Pr(Q_k) <= 1/2} with p = good/N, and the closed-form
@@ -12,8 +12,8 @@ sandwich derived from factorial-ratio bounds is
     mu_lower = floor(1 + N(1-p) - r)      mu_upper = ceil(N - r)
 
 with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  The bounds are
-computed exactly, in one place: ``mu_bounds_exact`` brackets r between
-consecutive integers by comparing 2*t**(pN) against the falling factorial
+computed exactly, in one place: ``mu_bounds_exact`` takes floor(r) as the
+integer (pN)-th root ``words.iroot`` of half the falling factorial
 N!/((1-p)N)!, so floor and ceil need no precision argument.
 
 m(N), the number of elements the sampler actually draws, is
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import InvariantViolation
+from .words import iroot
 
 DEFAULT_ALPHA_SMALL_BETA = Fraction(8)  # convention for beta <= 2, where the
 # closed form for alpha blows up; any alpha > 1 is admissible there.
@@ -37,21 +38,12 @@ ALPHA_TERM_LIMIT = 10**5  # m is found by raising integers to alpha's
 
 
 def hit_probability(N: int, good: int, k: int) -> Fraction:
-    """Pr(Q_k), exact, via the falling-factorial product
-    1 - prod_{j<k} (N-good-j)/(N-j)."""
+    """Pr(Q_k), exact, as 1 - perm(N-good, k)/perm(N, k); the miss ratio is
+    1 at k = 0 and 0 once k > N - good."""
     _check_urn(N, good)
     if k < 0 or k > N:
         raise ValueError(f"draw count k={k} outside [0, {N}]")
-    if k == 0:
-        return Fraction(0)
-    if k > N - good:
-        return Fraction(1)
-    num = 1
-    den = 1
-    for j in range(k):
-        num *= N - good - j
-        den *= N - j
-    return 1 - Fraction(num, den)
+    return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
 
 
 def _check_urn(N: int, good: int) -> None:
@@ -62,8 +54,8 @@ def _check_urn(N: int, good: int) -> None:
 
 
 def _miss_at_least_half(N: int, good: int, k: int) -> bool:
-    # Pr(Q_k) <= 1/2  <=>  2*C(N-good, k) >= C(N, k)
-    return 2 * math.comb(N - good, k) >= math.comb(N, k)
+    # Pr(Q_k) <= 1/2  <=>  2*perm(N-good, k) >= perm(N, k)
+    return 2 * math.perm(N - good, k) >= math.perm(N, k)
 
 
 def exact_threshold(N: int, good: int) -> int:
@@ -127,20 +119,15 @@ def mu_bounds(
 def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
     """The bounds in big-integer arithmetic.
 
-    Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r), with
-    ceil(r)/floor(r) bracketed by exact comparisons of 2*t**g against the
-    falling factorial N!/((N-g)!).
+    Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r).  With
+    g = pN and the falling factorial ff = N!/((N-g)!), r = (ff/2)**(1/g), and
+    2*t**g <= ff exactly when t**g <= ff // 2, so floor(r) = iroot(ff // 2, g).
     """
     if N < 2:
         raise ValueError("the bounds need N >= 2")
     good = _validate_p(N, p)
     ff = math.perm(N, good)
-    # r = (ff/2)**(1/good) in floats: the start of the exact bracketing.
-    floor_r = max(0, int(math.exp((math.log(ff) - math.log(2)) / good)))
-    while 2 * floor_r**good > ff:
-        floor_r -= 1
-    while 2 * (floor_r + 1) ** good <= ff:
-        floor_r += 1
+    floor_r = iroot(ff // 2, good)
     ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
     lower = 1 + (N - good) - ceil_r
     upper = N - floor_r
@@ -180,22 +167,6 @@ class SamplerParams:
         return self.m <= self.n
 
 
-def _floor_scaled_by_root(value: int, N: int, alpha: Fraction) -> int:
-    """floor(value * N**(-1/alpha)) exactly: the largest m with
-    m**alpha.num * N**alpha.den <= value**alpha.num (0 for value <= 0)."""
-    if value <= 0:
-        return 0
-    a_num, a_den = alpha.numerator, alpha.denominator
-    est = int(value * N ** (-float(a_den) / float(a_num)))
-    m = max(0, est)
-    target = value**a_num
-    while m**a_num * N**a_den > target:
-        m -= 1
-    while (m + 1) ** a_num * N**a_den <= target:
-        m += 1
-    return m
-
-
 def sampler_params(
     n: int, beta: int, alpha: Fraction | int | None = None
 ) -> SamplerParams:
@@ -217,7 +188,10 @@ def sampler_params(
     N = n ** (2 * beta)
     # The unclamped draw count; below 1 it is clamped and flagged degenerate.
     mu = mu_bounds_exact(N, Fraction(n**beta, N)).lower if N >= 2 else 0
-    m = _floor_scaled_by_root(mu, N, alpha)
+    # m = floor(mu * N**(-1/alpha)) is the largest m with m**a * N**b <= mu**a
+    # for alpha = a/b, that is the a-th root of mu**a // N**b.
+    a, b = alpha.numerator, alpha.denominator
+    m = iroot(mu**a // N**b, a) if mu > 0 else 0
     return SamplerParams(
         n=n,
         beta=beta,

@@ -8,10 +8,16 @@ prepending a 1 and reading the result in binary, which makes the numbering a
 bijection from words onto the positive integers (the prepended 1 keeps
 leading zeroes of the word from collapsing).
 
+``iroot``, the exact integer r-th root, is the package's one root routine:
+the perfect-power oracles, the threshold sandwich and the draw count all
+reduce to it, and a float only seeds its search.
+
 All functions are pure and use arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
+
+import math
 
 Word = str
 GoedelIndex = int
@@ -93,3 +99,43 @@ def gn_of_integer(y: int) -> GoedelIndex:
         raise ValueError("0 is not a Goedel index domain value")
     # 2**len(min_word(y)) + y, written without string round-trips.
     return (1 << y.bit_length()) + y
+
+
+def iroot(value: int, r: int) -> int:
+    """Largest integer t with t**r <= value, exact for value >= 0 and r >= 1.
+
+    A root below 2**53 comes from a float estimate and a few unit steps.  A
+    larger one takes Newton steps down from the root of value's top bits,
+    scaled back up, which lies above it.  Either way the cost grows with the
+    bit length of value, not with the size of the root.
+
+    >>> iroot(26, 3), iroot(27, 3), iroot(10**6, 7)
+    (2, 3, 7)
+    >>> iroot(3**699, 3) == 3**233
+    True
+    """
+    if value < 0:
+        raise ValueError("negative value")
+    if r == 1:
+        return value
+    if r == 2:
+        return math.isqrt(value)
+    if r < 1:
+        raise ValueError("root degree must be >= 1")
+    bits = value.bit_length()
+    if bits <= 53 * r:  # the root is below 2**53
+        # value ** (1 / r) overflows once value passes about 2**1024.
+        est = value ** (1.0 / r) if bits <= 1000 else math.exp(math.log(value) / r)
+        t = int(est)
+        while t**r > value:
+            t -= 1
+        while (t + 1) ** r <= value:
+            t += 1
+        return t
+    shift = (bits - 1) // r - 52
+    t = (iroot(value >> (r * shift), r) + 1) << shift
+    while True:
+        u = ((r - 1) * t + value // t ** (r - 1)) // r
+        if u >= t:
+            return t
+        t = u

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shlex
 import subprocess
@@ -167,6 +168,29 @@ def test_census_golden(tmp_path, fmt):
     out = tmp_path / f"census.{fmt}"
     assert run_cli(["census", "--ell", "4", "--format", fmt, "--out", str(out)]) == 0
     assert without_timestamp(out.read_text()) == CENSUS_4[fmt]
+
+
+# SHA-256 of reports whose every value comes from exact integer routines,
+# timestamp removed; a refactor of those routines must leave them unchanged.
+REPORT_DIGESTS = {
+    ("threshold", "--n", "60", "--format", "csv"): (
+        "fc2a64004a72c97ef1c9a30b6324947d71c37fb5b77e661d4d5858b1028ec560"
+    ),
+    ("threshold", "--n", "60", "--format", "json"): (
+        "6f9c00a841f3d12066c83368905f42db914b2dd16c13de75577a779f185433e1"
+    ),
+    ("density", "--oracle", "cube", "--ell", "5000", "--format", "csv"): (
+        "b313157a6f6f1e4201f4080417cc42a5cdd5fc3f7334118a8dd9608cf3c66a0f"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(REPORT_DIGESTS), ids=" ".join)
+def test_report_digests(tmp_path, args):
+    out = tmp_path / "report"
+    assert run_cli(list(args) + ["--out", str(out)]) == 0
+    text = without_timestamp(out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[args]
 
 
 @pytest.mark.parametrize(

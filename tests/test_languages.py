@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from owflab.languages import (
     is_perfect_power,
     power_oracle,
     sigma_star_oracle,
-    sq_member,
 )
 from owflab.words import gn_of_integer, min_word
 
@@ -43,16 +44,16 @@ def brute_density_of_values(pred, x):
 
 
 def test_sq_member_examples():
-    assert sq_member(min_word(16))
-    assert not sq_member(min_word(15))
-    assert not sq_member("")  # value 0 is not a natural number here
+    assert SQ.member(min_word(16))
+    assert not SQ.member(min_word(15))
+    assert not SQ.member("")  # value 0 is not a natural number here
 
 
 def test_sq_member_rejects_padded_forms():
     # Only the minimal representation counts, else the sqrt ceiling breaks.
-    assert sq_member("100")
-    assert not sq_member("0100")
-    assert not sq_member("01")
+    assert SQ.member("100")
+    assert not SQ.member("0100")
+    assert not SQ.member("01")
 
 
 def test_density_examples():
@@ -113,12 +114,15 @@ def test_intersect_never_increases_density():
         assert d <= density(odd, x)
 
 
-def test_power_oracle_matches_sq_on_short_words():
-    p2 = power_oracle(2)
+def test_sq_matches_isqrt_on_short_words():
+    def is_square_word(w):
+        # Minimal form (leading 1) of a square, by math.isqrt alone.
+        return w[:1] == "1" and math.isqrt(int(w, 2)) ** 2 == int(w, 2)
+
     for length in range(0, 11):
         for v in range(2**length):
             w = format(v, f"0{length}b") if length else ""
-            assert p2.member(w) == sq_member(w)
+            assert SQ.member(w) == is_square_word(w), w
 
 
 def test_power_oracle_cubes():
@@ -128,6 +132,32 @@ def test_power_oracle_cubes():
     assert p3.beta == 3
     with pytest.raises(ValueError):
         power_oracle(1)
+
+
+def test_power_oracle_is_fast_and_exact_past_float_roots():
+    # A root of 200 bits is far past a float's 53; the cost must follow the
+    # bit length of the value, not the size of the root.
+    x = (1 << 199) + 12345
+    cube = power_oracle(3)
+    start = time.perf_counter()
+    assert cube.member(min_word(x**3))
+    assert not cube.member(min_word(x**3 + 1))
+    assert not cube.member(min_word(x**3 - 1))
+    assert time.perf_counter() - start < 1.0
+    # 3**700 is past the float range, where a float estimate overflows.
+    assert is_perfect_power(3**699, 3)
+    assert not is_perfect_power(3**700, 3)
+    assert is_perfect_power(3**700, 7) and is_perfect_power(3**700, 350)
+
+
+def test_density_report_names_the_oracle_it_ran(capsys):
+    # power:2 runs the generic constants (d**2 = 1/20 from x0 = 20), not
+    # those of sq, so its report must not call it sq.
+    assert power_oracle(2).d_pow_beta == Fraction(1, 20)
+    assert power_oracle(2).x0 == 20
+    for oracle, name in (("sq", "sq"), ("power:2", "power2"), ("cube", "power3")):
+        code, report = density_report(capsys, oracle, 500)
+        assert (code, report["oracle"]) == (0, name)
 
 
 def test_power_oracle_density_band():

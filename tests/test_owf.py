@@ -176,6 +176,15 @@ def test_owf_reports_feasible_rounds_on_exhaustion():
     assert info.value.feasible_rounds == 0
 
 
+def test_owf_refuses_non_bit_words():
+    # Payload and tape alike must be bits; a payload "2" is not a 0 bit.
+    tape = expand_seed_bits(5, 598)
+    assert owf_evaluate("10" + tape, 1, "paper", alpha=8).n == 2
+    for w in ("22" + tape, "1 " + tape, "10" + tape[:-1] + "2"):
+        with pytest.raises(ValueError, match="a tape is a string over 0/1"):
+            owf_evaluate(w, 1, "paper", alpha=8)
+
+
 def test_hit_test_examples():
     assert hit_test(InstanceSet((3,), 16), SQ)  # index 3 is the word "1"
     assert not hit_test(InstanceSet((2,), 16), SQ)  # index 2 is "0", value 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from owflab.languages import SQ, empty_oracle, sq_member
+from owflab.languages import SQ, empty_oracle
 from owflab.reduction import (
     delta_bitlength_ok,
     density_transfer_check,
@@ -93,7 +93,7 @@ def test_reduce_phi_minimal_example():
     image = reduce_phi("1", CODE, 3)
     assert image.k == 11
     assert len(image.image) == 33
-    assert sq_member(image.image)
+    assert SQ.member(image.image)
     assert image.code_block == CODE
     assert image.source_block == "1"
     assert image.delta.bit_length() <= image.nu
@@ -123,7 +123,7 @@ def test_reduce_phi_blocks_recoverable():
 
 def test_reduce_phi_images_are_squares():
     for y in range(1, 400):
-        assert sq_member(reduce_phi(min_word(y), CODE, 3).image)
+        assert SQ.member(reduce_phi(min_word(y), CODE, 3).image)
 
 
 def test_reduce_phi_order_preserving_on_equal_lengths():

@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from owflab.threshold import ALPHA_TERM_LIMIT
 from owflab.words import (
     gn_of_integer,
     goedel_inverse,
     goedel_number,
+    iroot,
     min_word,
     word_value,
 )
@@ -82,3 +86,46 @@ def test_bits_are_msb_first():
     # The valuation treats the left end as most significant.
     assert word_value("10") == 2
     assert word_value("01") == 1
+
+
+def assert_is_root(t, value, r):
+    assert t**r <= value < (t + 1) ** r
+
+
+@st.composite
+def root_cases(draw):
+    """(value, r): any value below 2**4000, or an exact r-th power, one
+    less or one more than it."""
+    r = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**4000)), r
+    x = draw(st.integers(0, (1 << (4000 // r)) - 1))
+    return max(0, x**r + draw(st.sampled_from((-1, 0, 1)))), r
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(root_cases())
+def test_iroot_is_the_floor_root(case):
+    value, r = case
+    assert_is_root(iroot(value, r), value, r)
+
+
+def test_iroot_small_values_and_large_degrees():
+    for value in range(0, 3000):
+        for r in (1, 2, 3, 4, 5, 7, 64):
+            assert_is_root(iroot(value, r), value, r)
+    for value in range(0, 300):
+        assert_is_root(iroot(value, ALPHA_TERM_LIMIT), value, ALPHA_TERM_LIMIT)
+    # Roots on both sides of 2**53, where the float estimate stops.
+    for t in (2**53 - 1, 2**53, 2**53 + 1, 3**40):
+        for r in (3, 5, 20):
+            for value in (t**r - 1, t**r, t**r + 1):
+                assert_is_root(iroot(value, r), value, r)
+    assert iroot(3**699, 3) == 3**233
+
+
+def test_iroot_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        iroot(-1, 3)
+    with pytest.raises(ValueError):
+        iroot(8, 0)
