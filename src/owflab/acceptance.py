@@ -13,7 +13,6 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import bitsampler, languages, owf, threshold, turing, words
@@ -86,7 +85,7 @@ def _criterion_3(config: VerifyConfig) -> tuple[bool, str]:
         for good in range(1, N):
             cases += 1
             mstar = threshold.exact_threshold(N, good)
-            mb = threshold.mu_bounds(N, Fraction(good, N), check_sandwich=False)
+            mb = threshold.mu_bounds_exact(N, good)
             if not mb.lower_clamped <= mstar <= mb.upper:
                 violations += 1
     return violations == 0, (

@@ -6,15 +6,16 @@ uniformly drawn k-subset contains at least one marked element,
     Pr(Q_k) = 1 - C(N-good, k) / C(N, k) = 1 - perm(N-good, k) / perm(N, k),
 
 computed exactly as big-integer rationals.  The threshold is
-m*(N, p) = max{k : Pr(Q_k) <= 1/2} with p = good/N, and the closed-form
-sandwich derived from factorial-ratio bounds is
+m*(N, p) = max{k : Pr(Q_k) <= 1/2} with p = good/N, found by one walk over k
+that keeps both permutation counts, and the closed-form sandwich derived from
+factorial-ratio bounds is
 
     mu_lower = floor(1 + N(1-p) - r)      mu_upper = ceil(N - r)
 
 with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  The bounds are
-computed exactly, in one place: ``mu_bounds_exact`` takes floor(r) as the
-integer (pN)-th root ``words.iroot`` of half the falling factorial
-N!/((1-p)N)!, so floor and ceil need no precision argument.
+computed exactly, in one place: ``mu_bounds_exact(N, good)`` takes floor(r) as
+the integer good-th root ``words.iroot`` of half the falling factorial
+N!/(N-good)!, so floor and ceil need no precision argument.
 
 m(N), the number of elements the sampler actually draws, is
 floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, with
@@ -24,6 +25,7 @@ alpha = 4*beta/(beta-2) + 2*beta auto-derived for beta > 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -40,43 +42,40 @@ ALPHA_TERM_LIMIT = 10**5  # m is found by raising integers to alpha's
 def hit_probability(N: int, good: int, k: int) -> Fraction:
     """Pr(Q_k), exact, as 1 - perm(N-good, k)/perm(N, k); the miss ratio is
     1 at k = 0 and 0 once k > N - good."""
-    _check_urn(N, good)
+    N, good = _check_urn(N, good)
     if k < 0 or k > N:
         raise ValueError(f"draw count k={k} outside [0, {N}]")
     return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
 
 
-def _check_urn(N: int, good: int) -> None:
+def _check_urn(N: int, good: int) -> tuple[int, int]:
+    N, good = operator.index(N), operator.index(good)
     if N < 1:
         raise ValueError("urn size must be >= 1")
     if not 0 <= good <= N:
         raise ValueError(f"good count {good} outside [0, {N}]")
-
-
-def _miss_at_least_half(N: int, good: int, k: int) -> bool:
-    # Pr(Q_k) <= 1/2  <=>  2*perm(N-good, k) >= perm(N, k)
-    return 2 * math.perm(N - good, k) >= math.perm(N, k)
+    return N, good
 
 
 def exact_threshold(N: int, good: int) -> int:
-    """m*(N, p) = max{k : Pr(Q_k) <= 1/2}, by monotone binary search.
+    """m*(N, p) = max{k : Pr(Q_k) <= 1/2}, by a walk over k.
 
-    Degenerate urns follow the limits of the defining max-set:
-    m*(N, 0) = N (the event never occurs) and m*(N, N) = 0.
+    The walk keeps miss = perm(N-good, k) and total = perm(N, k), one
+    multiply each per step, and steps while Pr(Q_{k+1}) <= 1/2, that is
+    while 2*perm(N-good, k+1) >= perm(N, k+1).  The miss ratio only falls
+    as k grows, so the first failure marks m*.  Degenerate urns follow the
+    limits of the defining max-set: at good = 0 the ratio stays 1 and the
+    walk returns N, and at good = N it returns 0.
     """
-    _check_urn(N, good)
-    if good == 0:
-        return N
-    if good == N:
-        return 0
-    lo, hi = 0, N - good  # beyond N-good the miss probability is 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _miss_at_least_half(N, good, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    N, good = _check_urn(N, good)
+    bad = N - good
+    miss = total = 1
+    k = 0
+    while k < bad and 2 * miss * (bad - k) >= total * (N - k):
+        miss *= bad - k
+        total *= N - k
+        k += 1
+    return k
 
 
 class MuBounds(NamedTuple):
@@ -85,28 +84,23 @@ class MuBounds(NamedTuple):
     lower_clamped: int  # max(0, lower): draw counts cannot be negative
 
 
-def _validate_p(N: int, p: Fraction) -> int:
-    p = Fraction(p)
-    good = p * N
-    if good.denominator != 1 or good < 1:
-        raise ValueError(f"p*N must be a positive integer, got {good}")
-    if p > 1:
-        raise ValueError("p must be at most 1")
-    return int(good)
-
-
 def mu_bounds(
     N: int, p: Fraction, *, check_sandwich: bool = True
 ) -> MuBounds:
-    """Closed-form threshold bounds, as computed by ``mu_bounds_exact``.
+    """Closed-form threshold bounds, as computed by ``mu_bounds_exact`` at
+    the good count p*N, which must be an integer in [1, N].
 
     When ``check_sandwich`` is on and the urn is nondegenerate, the sandwich
     max(0, lower) <= m*(N, p) <= upper is checked against the exact
     threshold and a failure raises InvariantViolation.
     """
-    bounds = mu_bounds_exact(N, p)
-    good = int(Fraction(p) * N)
-    if check_sandwich and 1 <= good <= N - 1:
+    good, rest = divmod(p.numerator * N, p.denominator)
+    if rest or good < 1:
+        raise ValueError(f"p*N must be a positive integer, got {p * N}")
+    if good > N:
+        raise ValueError("p must be at most 1")
+    bounds = mu_bounds_exact(N, good)
+    if check_sandwich and good < N:
         mstar = exact_threshold(N, good)
         if not bounds.lower_clamped <= mstar <= bounds.upper:
             raise InvariantViolation(
@@ -116,16 +110,19 @@ def mu_bounds(
     return bounds
 
 
-def mu_bounds_exact(N: int, p: Fraction) -> MuBounds:
-    """The bounds in big-integer arithmetic.
+def mu_bounds_exact(N: int, good: int) -> MuBounds:
+    """The bounds at p = good/N, for N >= 2 and 1 <= good <= N, in
+    big-integer arithmetic.
 
     Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r).  With
-    g = pN and the falling factorial ff = N!/((N-g)!), r = (ff/2)**(1/g), and
-    2*t**g <= ff exactly when t**g <= ff // 2, so floor(r) = iroot(ff // 2, g).
+    the falling factorial ff = N!/((N-good)!), r = (ff/2)**(1/good), and
+    2*t**good <= ff exactly when t**good <= ff // 2, so
+    floor(r) = iroot(ff // 2, good).
     """
     if N < 2:
         raise ValueError("the bounds need N >= 2")
-    good = _validate_p(N, p)
+    if not 1 <= good <= N:
+        raise ValueError(f"good count {good} outside [1, {N}]")
     ff = math.perm(N, good)
     floor_r = iroot(ff // 2, good)
     ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
@@ -187,7 +184,7 @@ def sampler_params(
         )
     N = n ** (2 * beta)
     # The unclamped draw count; below 1 it is clamped and flagged degenerate.
-    mu = mu_bounds_exact(N, Fraction(n**beta, N)).lower if N >= 2 else 0
+    mu = mu_bounds_exact(N, n**beta).lower if N >= 2 else 0
     # m = floor(mu * N**(-1/alpha)) is the largest m with m**a * N**b <= mu**a
     # for alpha = a/b, that is the a-th root of mu**a // N**b.
     a, b = alpha.numerator, alpha.denominator
@@ -227,8 +224,8 @@ def bollobas_check(
     Below the threshold (m <= m*/theta):    Pr(Q_m) <= 1 - 2**(-1/theta).
     Above the threshold (m >= theta(m*+1)): Pr(Q_m) >= 1 - 2**(-theta).
     Both comparisons are done exactly by clearing the fractional powers of 2:
-    with q = 1 - Pr(Q_m) and theta = a/b, the first is q**a * 2**b >= 1 and
-    the second is q**b * 2**a <= 1.
+    with 1 - Pr(Q_m) = miss/total in lowest terms and theta = a/b, the first
+    is miss**a * 2**b >= total**a and the second is miss**b * 2**a <= total**b.
     """
     theta = Fraction(theta)
     if theta < 1:
@@ -236,13 +233,14 @@ def bollobas_check(
     if mstar is None:
         mstar = exact_threshold(N, good)
     pr = hit_probability(N, good, m)
-    q = 1 - pr
+    # 1 - pr in lowest terms, since gcd(d - n, d) = gcd(n, d) = 1
+    miss, total = pr.denominator - pr.numerator, pr.denominator
     a, b = theta.numerator, theta.denominator
     if m * a <= mstar * b:  # m <= mstar / theta
-        holds = q.numerator**a * 2**b >= q.denominator**a
+        holds = miss**a * 2**b >= total**a
         regime = "below"
     elif m * b >= (mstar + 1) * a:  # m >= theta * (mstar + 1)
-        holds = q.numerator**b * 2**a <= q.denominator**b
+        holds = miss**b * 2**a <= total**b
         regime = "above"
     else:
         holds = None
@@ -343,11 +341,10 @@ def threshold_table_rows(n_max: int):
     for N in range(4, n_max + 1):
         for good in range(1, N):
             mstar = exact_threshold(N, good)
-            mb = mu_bounds(N, Fraction(good, N), check_sandwich=False)
+            mb = mu_bounds_exact(N, good)
+            # good >= 1 puts m* at most N - 1, so m* + 1 is a draw count
             pr_at = hit_probability(N, good, mstar)
-            pr_after = (
-                hit_probability(N, good, mstar + 1) if mstar + 1 <= N else Fraction(1)
-            )
+            pr_after = hit_probability(N, good, mstar + 1)
             yield N, good, mstar, mb.lower, mb.upper, pr_at, pr_after
 
 

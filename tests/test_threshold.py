@@ -116,6 +116,24 @@ def test_exact_threshold_definition():
             assert mstar == max(candidates)
 
 
+def test_exact_threshold_matches_comb_scan():
+    # Pr(Q_k) grows with k, so the scan stops at the first k past 1/2.
+    for N in range(1, 401):
+        for good in range(N + 1):
+            k = 0
+            while k < N and 2 * math.comb(N - good, k + 1) >= math.comb(N, k + 1):
+                k += 1
+            assert exact_threshold(N, good) == k, (N, good)
+
+
+def test_exact_threshold_refuses_non_integers():
+    for N, good in ((10, 2.5), (10.0, 2), (Fraction(10), 2)):
+        with pytest.raises(TypeError):
+            exact_threshold(N, good)
+    with pytest.raises(ValueError):
+        exact_threshold(10, 11)
+
+
 def test_exact_threshold_nonincreasing_in_good():
     for N in (10, 50, 200):
         values = [exact_threshold(N, good) for good in range(N + 1)]
@@ -146,6 +164,28 @@ def test_mu_bounds_validation():
         mu_bounds(10, Fraction(1, 3))  # p*N not integral
     with pytest.raises(ValueError):
         mu_bounds(1, Fraction(1))
+
+
+def test_mu_bounds_refuses_bad_p():
+    for p in (Fraction(1, 3), Fraction(0), Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="p\\*N must be a positive integer"):
+            mu_bounds(10, p, check_sandwich=False)
+    with pytest.raises(ValueError, match="p must be at most 1"):
+        mu_bounds(10, Fraction(11, 10), check_sandwich=False)
+
+
+def test_mu_bounds_exact_refuses_bad_urns():
+    for N, good in ((10, 0), (10, 11), (1, 1)):
+        with pytest.raises(ValueError):
+            mu_bounds_exact(N, good)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 400).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N))))
+def test_mu_bounds_equals_exact_route(urn):
+    N, good = urn
+    bounds = mu_bounds(N, Fraction(good, N), check_sandwich=False)
+    assert bounds == mu_bounds_exact(N, good)
 
 
 def test_mu_bounds_kernel_matches_exact_route():
@@ -179,9 +219,9 @@ def test_mu_bounds_sandwich_violation_raises(monkeypatch):
     # A bound that misses m* must raise, also under python -O.
     real = mu_bounds_exact
 
-    def shifted(N, p):
-        mb = real(N, p)
-        return mb._replace(upper=exact_threshold(N, int(p * N)) - 1)
+    def shifted(N, good):
+        mb = real(N, good)
+        return mb._replace(upper=exact_threshold(N, good) - 1)
 
     monkeypatch.setattr("owflab.threshold.mu_bounds_exact", shifted)
     with pytest.raises(InvariantViolation):
@@ -211,13 +251,13 @@ def test_derive_constants():
 
 def draw_count(params):
     """(m, degenerate, mu_lower) of the sampler's draw count."""
-    mu_lower = mu_bounds_exact(params.N, Fraction(params.n**params.beta, params.N)).lower
+    mu_lower = mu_bounds_exact(params.N, params.n**params.beta).lower
     return params.m, params.m_degenerate, mu_lower
 
 
 def test_draw_count_flags_degenerate_cases():
     params = sampler_params(2, 2, alpha=8)  # N = 16, p_upper = 1/4
-    assert mu_bounds_exact(16, Fraction(1, 4)).lower == 0
+    assert mu_bounds_exact(16, 4).lower == 0
     dc = draw_count(params)
     assert dc == (1, True, 0)
     assert params.m == 1 and params.m_degenerate
@@ -225,7 +265,7 @@ def test_draw_count_flags_degenerate_cases():
 
 def test_draw_count_nondegenerate():
     params = sampler_params(4, 2, alpha=8)  # N = 256, p_upper = 1/16
-    assert mu_bounds_exact(256, Fraction(1, 16)).lower == 3
+    assert mu_bounds_exact(256, 16).lower == 3
     dc = draw_count(params)
     # floor(3 * 256**(-1/8)) = floor(1.5) = 1, above the clamp
     assert dc == (1, False, 3)
