@@ -79,29 +79,19 @@ def _criterion_2(config: VerifyConfig) -> tuple[bool, str]:
 
 
 def _criterion_3(config: VerifyConfig) -> tuple[bool, str]:
-    violations = 0
-    cases = 0
-    for N in range(4, 401):
-        for good in range(1, N):
-            cases += 1
-            mstar = threshold.exact_threshold(N, good)
-            mb = threshold.mu_bounds_exact(N, good)
-            if not mb.lower_clamped <= mstar <= mb.upper:
-                violations += 1
+    oks = [row[-1] for row in threshold.sandwich_grid(400)]
+    violations = oks.count(False)
     return violations == 0, (
-        f"{cases} (N, good) pairs with N in [4, 400]: {violations} sandwich violations"
+        f"{len(oks)} (N, good) pairs with N in [4, 400]: "
+        f"{violations} sandwich violations"
     )
 
 
 def _criterion_4(config: VerifyConfig) -> tuple[bool, str]:
-    violations = 0
-    checked = 0
-    for v in threshold.bollobas_grid(200):
-        checked += 1
-        if v.holds is False:
-            violations += 1
+    holds = [v.holds for v in threshold.bollobas_grid(200)]
+    violations = holds.count(False)
     return violations == 0, (
-        f"{checked} exact inequality checks over N in [10, 200], theta in "
+        f"{len(holds)} exact inequality checks over N in [10, 200], theta in "
         f"{{1, 2, 4}}: {violations} violations"
     )
 

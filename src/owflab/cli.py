@@ -210,20 +210,11 @@ def _cmd_density(cfg: dict) -> tuple[dict, bool]:
 
 def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
     n_max = cfg["n"]
-    sandwich_rows = []
-    violations = 0
-    for N, good, mstar, lo, up, pr_at, pr_after in threshold.threshold_table_rows(n_max):
-        ok = max(0, lo) <= mstar <= up
-        if not ok:
-            violations += 1
-        sandwich_rows.append(
-            (N, good, mstar, lo, up, float(pr_at), float(pr_after), ok)
-        )
-    grid_rows = []
-    for v in threshold.bollobas_grid(min(n_max, 200)):
-        grid_rows.append((v.N, v.good, int(v.theta), v.m, v.regime, v.holds))
-        if v.holds is False:
-            violations += 1
+    sandwich_rows = list(threshold.sandwich_grid(n_max))
+    grid_rows = [(v.N, v.good, int(v.theta), v.m, v.regime, v.holds)
+                 for v in threshold.bollobas_grid(min(n_max, 200))]
+    violations = sum(not row[-1] for row in sandwich_rows)
+    violations += sum(row[-1] is False for row in grid_rows)
     return {
         "n_max": n_max,
         "violations": violations,

@@ -96,6 +96,14 @@ def round_consumption(b: int, params: SamplerParams, k_profile: str) -> int:
     return cost
 
 
+def _require_b1_feasible(params: SamplerParams) -> None:
+    if not params.b1_feasible:
+        raise DegenerateParameters(
+            f"draw count m={params.m} exceeds the thinned urn size n={params.n}; "
+            "the b=1 branch cannot produce |W|=m"
+        )
+
+
 def _ptsamp_traced(
     b: int,
     n: int,
@@ -115,11 +123,7 @@ def _ptsamp_traced(
         )
     full_urn = range(1, N + 1)
     if b == 1:
-        if not params.b1_feasible:
-            raise DegenerateParameters(
-                f"draw count m={m} exceeds the thinned urn size n={n}; "
-                f"the b=1 branch cannot produce |W|=m"
-            )
+        _require_b1_feasible(params)
         urn = select_subset(tape, n, full_urn, profile_k(k_profile, N))
         picked = select_subset(tape, m, urn, profile_k(k_profile, n))
     else:
@@ -215,6 +219,13 @@ class BijectivityReport:
         return {"params": {key: fields.pop(key) for key in params}, **fields}
 
 
+def _z_score(observed: int, expected: float | Fraction, var: float) -> float:
+    """(observed - expected) / sqrt(var); at zero variance 0 or infinity."""
+    if var > 0:
+        return (observed - float(expected)) / math.sqrt(var)
+    return 0.0 if observed == expected else math.inf
+
+
 def sampling_error_experiment(
     n: int,
     beta: int,
@@ -238,6 +249,7 @@ def sampling_error_experiment(
     if trials < 1000:
         raise ValueError("the error experiment needs trials >= 1000")
     params = sampler_params(n, beta, alpha)
+    _require_b1_feasible(params)
     N, m = params.N, params.m
     good_positions = frozenset(
         i for i in range(1, N + 1) if oracle.member(goedel_inverse(i))
@@ -268,13 +280,8 @@ def sampling_error_experiment(
         bits_consumed += tape0.cursor + tape1.cursor
 
     p0 = float(exact0)
-    var0 = trials * p0 * (1 - p0)
-    z0 = (hits0 - trials * p0) / math.sqrt(var0) if var0 > 0 else (
-        0.0 if hits0 == trials * p0 else math.inf
-    )
-    z1 = (misses1 - float(exact1_sum)) / math.sqrt(exact1_var) if exact1_var > 0 else (
-        0.0 if misses1 == exact1_sum else math.inf
-    )
+    z0 = _z_score(hits0, trials * p0, trials * p0 * (1 - p0))
+    z1 = _z_score(misses1, exact1_sum, exact1_var)
     miss0 = hits0 / trials
     miss1 = misses1 / trials
     criterion = miss0 + miss1

@@ -15,7 +15,9 @@ factorial-ratio bounds is
 with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  The bounds are
 computed exactly, in one place: ``mu_bounds_exact(N, good)`` takes floor(r) as
 the integer good-th root ``words.iroot`` of half the falling factorial
-N!/(N-good)!, so floor and ceil need no precision argument.
+N!/(N-good)!, so floor and ceil need no precision argument.  C3 and
+``owflab threshold`` read the sandwich off ``sandwich_grid``, as C4 and the
+command read the regime checks off ``bollobas_grid``.
 
 m(N), the number of elements the sampler actually draws, is
 floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, with
@@ -58,7 +60,12 @@ def _check_urn(N: int, good: int) -> tuple[int, int]:
 
 
 def exact_threshold(N: int, good: int) -> int:
-    """m*(N, p) = max{k : Pr(Q_k) <= 1/2}, by a walk over k.
+    """m*(N, p) = max{k : Pr(Q_k) <= 1/2}, by ``_threshold_walk``."""
+    return _threshold_walk(N, good)[0]
+
+
+def _threshold_walk(N: int, good: int) -> tuple[int, int, int]:
+    """(m*, perm(N-good, m*), perm(N, m*)), by a walk over k.
 
     The walk keeps miss = perm(N-good, k) and total = perm(N, k), one
     multiply each per step, and steps while Pr(Q_{k+1}) <= 1/2, that is
@@ -75,7 +82,7 @@ def exact_threshold(N: int, good: int) -> int:
         miss *= bad - k
         total *= N - k
         k += 1
-    return k
+    return k, miss, total
 
 
 class MuBounds(NamedTuple):
@@ -129,6 +136,22 @@ def mu_bounds_exact(N: int, good: int) -> MuBounds:
     lower = 1 + (N - good) - ceil_r
     upper = N - floor_r
     return MuBounds(lower, upper, max(0, lower))
+
+
+def sandwich_grid(n_max: int) -> Iterator[tuple]:
+    """Rows (N, good, m*, mu_lower, mu_upper, Pr(Q_m*), Pr(Q_m*+1), sandwich_ok)
+    for N in [4, n_max] and 1 <= good < N, where sandwich_ok is
+    max(0, mu_lower) <= m* <= mu_upper.  Each probability is one int division
+    (total - miss)/total of the walk's counts, so it is rounded once; good >= 1
+    puts m* at most N - 1, so the step to m* + 1 exists."""
+    for N in range(4, n_max + 1):
+        for good in range(1, N):
+            mstar, miss, total = _threshold_walk(N, good)
+            miss_next, total_next = miss * (N - good - mstar), total * (N - mstar)
+            mb = mu_bounds_exact(N, good)
+            ok = mb.lower_clamped <= mstar <= mb.upper
+            yield (N, good, mstar, mb.lower, mb.upper, (total - miss) / total,
+                   (total_next - miss_next) / total_next, ok)
 
 
 def derive_constants(beta: int | Fraction) -> tuple[Fraction, Fraction]:
@@ -334,20 +357,6 @@ def quotient_ratio(n: int, d: float, beta: int) -> QuotientRatio:
         )
 
 
-def threshold_table_rows(n_max: int):
-    """Rows (N, good, m*, mu_lower, mu_upper, Pr(Q_m*), Pr(Q_m*+1)) over the
-    full nondegenerate grid for N in [4, n_max]; used by the CLI table
-    writer."""
-    for N in range(4, n_max + 1):
-        for good in range(1, N):
-            mstar = exact_threshold(N, good)
-            mb = mu_bounds_exact(N, good)
-            # good >= 1 puts m* at most N - 1, so m* + 1 is a draw count
-            pr_at = hit_probability(N, good, mstar)
-            pr_after = hit_probability(N, good, mstar + 1)
-            yield N, good, mstar, mb.lower, mb.upper, pr_at, pr_after
-
-
 __all__ = [
     "ALPHA_TERM_LIMIT",
     "BollobasVerdict",
@@ -364,5 +373,5 @@ __all__ = [
     "mu_bounds_exact",
     "quotient_ratio",
     "sampler_params",
-    "threshold_table_rows",
+    "sandwich_grid",
 ]

@@ -203,6 +203,18 @@ def test_experiment_requires_enough_trials():
         sampling_error_experiment(2, 2, SQ, 999, 1)
 
 
+def test_experiment_refuses_an_infeasible_cell_before_any_work():
+    # n=4, beta=3 gives m=7 > n=4: the b=1 branch cannot run, and the
+    # refusal comes before the membership scan of the urn.
+    def member(word):
+        raise AssertionError("member called")
+
+    oracle = dataclasses.replace(SQ, member=member)
+    message = "m=7 exceeds the thinned urn size n=4"
+    with pytest.raises(DegenerateParameters, match=message):
+        sampling_error_experiment(4, 3, oracle, 1000, 1)
+
+
 def test_experiment_report_consistency():
     rep = sampling_error_experiment(
         2, 2, power_oracle(2), 1000, 424242, alpha=8, k_profile="practical"

@@ -69,46 +69,70 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _uses(tree: ast.Module):
-    """(name, line, is_attribute) of every name, attribute and imported name
-    in a module."""
+def _uses(tree: ast.Module, module: str):
+    """(name, line, receiver) of every name, attribute and imported name in
+    a module.  receiver is None for a bare or imported name, "module.Class"
+    for self.name inside a method of Class, and "" for any other attribute."""
+    owners = {}  # self.name node -> its class
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.args.args:
+                me = method.args.args[0].arg
+                for node in ast.walk(method):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == me
+                    ):
+                        owners[node] = f"{module}.{cls.name}"
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, False
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, True
+            yield node.attr, node.lineno, owners.get(node, "")
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno, False
+                yield alias.name, node.lineno, None
 
 
-def test_every_public_name_has_a_caller():
-    # A public name that only the tests reach is a test-only wrapper: it
-    # belongs in the tests, or nowhere.  A use inside a definition that has
-    # no caller itself does not count, so dead code cannot keep dead code.
-    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    reached = defaultdict(set)  # name -> {is_attribute} in demos and owbench
-    for folder in (ROOT / "demos", ROOT / "owbench"):
+def _counts(label: str, receiver: str | None) -> bool:
+    """Whether a use with this receiver can reach the definition "module.name"
+    or "module.Class.method".  A method is reached only as an attribute: a
+    bare name of the same spelling does not call it, and self.name counts
+    only inside its own class.  A module-level name is not reached by
+    self.name."""
+    owner = label.rpartition(".")[0]
+    if "." in owner:
+        return receiver == "" or receiver == owner
+    return receiver is None or receiver == ""
+
+
+def _uncalled(package: Path, callers: list[Path]) -> list[str]:
+    """The public names of the package's modules that nothing in the package
+    or in the caller folders uses.  A use inside a definition that has no
+    caller itself does not count, so dead code cannot keep dead code."""
+    trees = {path: _parse(path) for path in sorted(package.glob("*.py"))}
+    reached = defaultdict(set)  # name -> {receiver} in the caller folders
+    for folder in callers:
         for path in sorted(folder.glob("*.py")):
-            for name, _, is_attribute in _uses(_parse(path)):
-                reached[name].add(is_attribute)
-    uses = defaultdict(list)  # name -> [(path, line, is_attribute)] inside the package
+            module = f"{folder.name}/{path.stem}"  # matches no package class
+            for name, _, receiver in _uses(_parse(path), module):
+                reached[name].add(receiver)
+    uses = defaultdict(list)  # name -> [(path, line, receiver)] inside the package
     for path, tree in trees.items():
-        for name, line, is_attribute in _uses(tree):
-            uses[name].append((path, line, is_attribute))
+        for name, line, receiver in _uses(tree, path.stem):
+            uses[name].append((path, line, receiver))
 
-    def counts(qualname, is_attribute):
-        # A method or property is reached only as an attribute, x.name: a
-        # bare name of the same spelling does not call it.
-        return is_attribute or "." not in qualname
-
-    spans = {
-        f"{path.stem}.{qualname}": (path, range(node.lineno, node.end_lineno + 1))
-        for path, tree in trees.items()
-        if path.name not in NO_CALLER_EXEMPT
-        for qualname, node in _definitions(tree)
-        if not any(counts(qualname, attr) for attr in reached[qualname.rpartition(".")[2]])
-    }
+    spans = {}  # label -> (path, lines) of each definition the callers miss
+    for path, tree in trees.items():
+        if path.name in NO_CALLER_EXEMPT:
+            continue
+        for qualname, node in _definitions(tree):
+            label = f"{path.stem}.{qualname}"
+            if not any(_counts(label, r) for r in reached[label.rpartition(".")[2]]):
+                spans[label] = (path, range(node.lineno, node.end_lineno + 1))
     uncalled: set[str] = set()
     while True:
         found = set()
@@ -116,14 +140,45 @@ def test_every_public_name_has_a_caller():
             excluded = [own, *(spans[dead] for dead in uncalled)]
             if all(
                 any(path == p and line in span for p, span in excluded)
-                for path, line, is_attribute in uses[label.rpartition(".")[2]]
-                if counts(label.partition(".")[2], is_attribute)
+                for path, line, receiver in uses[label.rpartition(".")[2]]
+                if _counts(label, receiver)
             ):
                 found.add(label)
         if found == uncalled:
             break
         uncalled = found
-    assert sorted(uncalled) == []
+    return sorted(uncalled)
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only the tests reach is a test-only wrapper: it
+    # belongs in the tests, or nowhere.
+    assert _uncalled(PACKAGE, [ROOT / "demos", ROOT / "owbench"]) == []
+
+
+def test_has_a_caller_resolves_self_to_its_class(tmp_path):
+    """A dead method is not kept alive by self.name in another class: here
+    Report.line reads self.limit, and Params.limit has no caller.  Other
+    receivers, such as p.ok or report.limit, stay unresolved, so any
+    x.limit with x other than self would still count for Params.limit."""
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "mod.py").write_text(
+        "class Report:\n"
+        "    limit: float = 1.0\n"
+        "\n"
+        "    def line(self):\n"
+        "        return f'{self.limit}'\n"
+        "\n"
+        "\n"
+        "class Params:\n"
+        "    def limit(self):\n"
+        "        return 2\n"
+    )
+    (callers / "use.py").write_text("from pkg.mod import Params, Report\n"
+                                    "print(Report().line(), Params())\n")
+    assert _uncalled(package, [callers]) == ["mod.Params.limit"]
 
 
 def _unused_imports(path: Path) -> list[str]:

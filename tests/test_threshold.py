@@ -21,7 +21,7 @@ from owflab.threshold import (
     mu_bounds_exact,
     quotient_ratio,
     sampler_params,
-    threshold_table_rows,
+    sandwich_grid,
 )
 
 
@@ -330,11 +330,24 @@ def test_threshold_instance_bundles_the_sandwich():
     assert exact_threshold(9, 9) == 0
 
 
-def test_threshold_table_rows():
-    rows = list(threshold_table_rows(6))
-    byn = {(N, g): (ms, lo, up) for N, g, ms, lo, up, _, _ in rows}
+def test_sandwich_grid_rows():
+    rows = list(sandwich_grid(6))
+    byn = {(N, g): (ms, lo, up) for N, g, ms, lo, up, _, _, _ in rows}
     assert byn[(4, 2)] == (1, 0, 2)
     assert all(max(0, lo) <= ms <= up for (ms, lo, up) in byn.values())
+
+
+def test_sandwich_grid_against_the_exact_fractions():
+    # The grid reads its probabilities off the walk's integers; the exact
+    # Fraction route of hit_probability is the reference, rounded once.
+    rows = list(sandwich_grid(80))
+    assert len(rows) == sum(N - 1 for N in range(4, 81))
+    for N, good, mstar, lo, up, pr_at, pr_after, ok in rows:
+        assert mstar == exact_threshold(N, good)
+        assert (lo, up) == mu_bounds_exact(N, good)[:2]
+        assert pr_at == float(hit_probability(N, good, mstar))
+        assert pr_after == float(hit_probability(N, good, mstar + 1))
+        assert ok == (max(0, lo) <= mstar <= up)
 
 
 def test_quotient_ratio_decreases_along_sweep():
