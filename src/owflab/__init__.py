@@ -14,6 +14,7 @@ The package decomposes the construction into small, exactly testable pieces:
 - ``owf``         threshold sampling, the bit-encoding evaluator, and the
                   binary-search inversion demo
 - ``acceptance``  the quantitative acceptance suite run by the CLI and tests
+- ``report``      the one report renderer, for every command's CSV or JSON
 
 Everything probabilistic is driven by explicit bit tapes so that every run is
 reproducible from a 64-bit seed.
@@ -27,6 +28,7 @@ from . import (  # noqa: F401
     languages,
     owf,
     reduction,
+    report,
     threshold,
     turing,
     words,

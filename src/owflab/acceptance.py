@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from . import bitsampler, languages, owf, threshold, turing, words
+from .report import Table, render
 
 # Diagonal-language census under the fixed code format (computed once by
 # exhaustive simulation, then pinned; every word at these lengths decodes to
@@ -208,8 +209,6 @@ def _criterion_11(config: VerifyConfig) -> tuple[bool, str]:
         owf_trials=min(config.owf_trials, 1000),
         k_profile=config.k_profile,
     )
-    from .cli import render  # cli imports this module at load
-
     idents = ("C5", "C7", "C8", "C10")
     blobs = []
     for _ in range(2):
@@ -264,9 +263,7 @@ def run_criterion(ident: str, config: VerifyConfig) -> CriterionResult:
 
 
 def report_fields(results: list[CriterionResult], config: VerifyConfig) -> dict:
-    """The verify-all report as fields for ``cli.render``."""
-    from .cli import Table  # cli imports this module at load
-
+    """The verify-all report as fields for ``report.render``."""
     rows = [(r.ident, r.name, r.passed, r.detail) for r in results]
     return {
         "config": asdict(config),

@@ -24,8 +24,12 @@ integers as floor(r_num * R / 2**k).  Each output index then deviates from
 which is what the exact bias and permutation distributions below use instead
 of enumerating all 2**k tapes.
 
-Because block i depends only on (seed, stream, i), a seeded tape holds just
-(seed, stream, total) and hashes the blocks a read touches.  ``skip(k)``
+Every read is ``take(k)``, which slices k bits out of one window of the tape
+and returns them as an integer.  A literal tape's window is its whole
+string.  Because block i depends only on (seed, stream, i), a seeded tape
+holds (seed, stream, total) and a window of whole blocks; a read that runs
+past the window's end keeps the window's unread tail and hashes just the
+blocks after it, so each block is hashed once per tape.  ``skip(k)``
 advances the cursor past k bits without reading them, with the same bounds
 check as ``take``; either way every bit position is consumed at most once.
 
@@ -100,20 +104,24 @@ def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> 
 class BitTape:
     """Finite consumable sequence of bits with a strict left-to-right cursor.
 
-    A literal tape keeps its bits; a seeded tape keeps (seed, stream,
-    total) and expands the bits each read covers."""
+    ``take`` reads bits [cursor, cursor+k) from ``_window``, which holds the
+    tape's bits from position ``_base`` on.  A literal tape's window is its
+    whole string.  A seeded tape keeps (seed, stream, total) and a window
+    that ends on a block boundary; a read past its end refills it, so each
+    block is hashed once per tape."""
 
-    __slots__ = ("_bits", "_seed", "_stream", "_total", "_cursor")
+    __slots__ = ("_seed", "_stream", "_total", "_cursor", "_window", "_base")
 
     def __init__(self, bits: str):
         # int(s, 2) would also accept "_", whitespace, a sign, "0b" and
         # non-ASCII digits; this admits only the characters 0 and 1.
         if not (bits.isascii() and not bits.encode().translate(None, b"01")):
             raise ValueError("a tape is a string over 0/1")
-        self._bits: str | None = bits
         self._seed = self._stream = 0
         self._total = len(bits)
         self._cursor = 0
+        self._window = bits
+        self._base = 0
 
     @classmethod
     def from_seed(cls, seed: int, nbits: int, stream: int = 0) -> "BitTape":
@@ -121,7 +129,7 @@ class BitTape:
         if nbits < 0:
             raise ValueError("a tape cannot have a negative length")
         tape = cls("")
-        tape._bits, tape._seed, tape._stream, tape._total = None, seed, stream, nbits
+        tape._seed, tape._stream, tape._total = seed, stream, nbits
         return tape
 
     @property
@@ -147,16 +155,25 @@ class BitTape:
         self._cursor += k
         return start
 
-    def take_bits(self, k: int) -> str:
-        start = self._advance(k)
-        if self._bits is None:
-            return expand_seed_bits(self._seed, k, self._stream, start)
-        return self._bits[start : start + k]
-
     def take(self, k: int) -> int:
         """Consume k bits and return them as an integer, MSB first."""
-        bits = self.take_bits(k)
-        return int(bits, 2) if bits else 0
+        start = self._advance(k)
+        end = start + k
+        window, base = self._window, self._base
+        if k and end > base + len(window):
+            # Only a seeded tape gets here: a literal window holds the whole
+            # tape, and a 0-bit read needs no block.  Keep the unread tail,
+            # hash the blocks from the first one not yet hashed (or the one
+            # holding start, past a skip) through the one holding the last
+            # bit read.
+            keep = window[start - base :]
+            fresh = max(base + len(window), start - start % 256)
+            window = keep + expand_seed_bits(
+                self._seed, -(-end // 256) * 256 - fresh, self._stream, fresh
+            )
+            base = fresh - len(keep)
+            self._window, self._base = window, base
+        return int(window[start - base : end - base] or "0", 2)
 
     def skip(self, k: int) -> None:
         """Consume k bits without reading them."""
@@ -282,31 +299,34 @@ class PermutationDistribution(NamedTuple):
     within_bound: bool
 
 
-def permutation_distribution(N: int, k: int) -> PermutationDistribution:
-    """Exact probability of every draw sequence, composed from per-step
-    interval counts (no tape enumeration needed)."""
+def _prefix_law(N: int, m: int, k: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact probability of every sequence of the first m Fisher-Yates
+    entries, in lexicographic order: a sequence's weight is the product of
+    its draws' interval counts, one count table per range, over 2**(k*m)."""
     if N > PERMUTATION_MAX_N:
         raise BudgetError(f"distribution limited to N <= {PERMUTATION_MAX_N}")
     if k > PERMUTATION_MAX_K:
         raise BudgetError(f"distribution limited to k <= {PERMUTATION_MAX_K}")
-    probs: dict[tuple[int, ...], Fraction] = {}
+    if not 0 <= m <= N:
+        raise ValueError(f"cannot select {m} of {N} elements")
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for R in range(N, N - m, -1):
+        counts = [_interval_count(idx, R, k) for idx in range(R)]
+        prefixes = [
+            (prefix + (x,), weight * count)
+            for prefix, weight in prefixes
+            for x, count in zip([y for y in range(1, N + 1) if y not in prefix], counts)
+        ]
+    scale = 1 << (k * m)
+    if sum(weight for _, weight in prefixes) != scale:
+        raise InvariantViolation("prefix probabilities do not sum to 1")
+    return {prefix: Fraction(weight, scale) for prefix, weight in prefixes}
 
-    def walk(remaining: list[int], acc: Fraction, prefix: tuple[int, ...]):
-        if not remaining:
-            probs[prefix] = acc
-            return
-        R = len(remaining)
-        for idx in range(R):
-            p = Fraction(_interval_count(idx, R, k), 1 << k)
-            walk(
-                remaining[:idx] + remaining[idx + 1 :],
-                acc * p,
-                prefix + (remaining[idx],),
-            )
 
-    walk(list(range(1, N + 1)), Fraction(1), ())
-    if sum(probs.values()) != 1:
-        raise InvariantViolation("permutation probabilities do not sum to 1")
+def permutation_distribution(N: int, k: int) -> PermutationDistribution:
+    """Exact probability of every draw sequence, composed from per-step
+    interval counts (no tape enumeration needed)."""
+    probs = _prefix_law(N, N, k)
     uniform = Fraction(1, math.factorial(N))
     lower = Fraction((2**N - 1) ** N, 2 ** (N * N)) * uniform
     min_p = min(probs.values())
@@ -325,10 +345,9 @@ def permutation_distribution(N: int, k: int) -> PermutationDistribution:
 
 def subset_distribution(N: int, m: int, k: int) -> dict[frozenset, Fraction]:
     """Exact distribution of the m-subset selected via the permutation."""
-    dist = permutation_distribution(N, k)
     out: dict[frozenset, Fraction] = {}
-    for seq, p in dist.probabilities.items():
-        key = frozenset(seq[:m])
+    for prefix, p in _prefix_law(N, m, k).items():
+        key = frozenset(prefix)
         out[key] = out.get(key, Fraction(0)) + p
     return out
 

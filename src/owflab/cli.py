@@ -11,16 +11,14 @@ an unexpected exception, which is reported in one line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-import time
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance, bitsampler, languages, owf, threshold, turing
 from .errors import BudgetError, DegenerateParameters, TapeExhausted
+from .report import Table, render
 
 # (type, choices) of each flag.  argparse applies them to flags, and
 # _merge_config holds --config file values to the same.
@@ -111,7 +109,11 @@ def _resolve_oracle(name: str) -> languages.LanguageOracle:
     if name == "cube":
         return languages.power_oracle(3)
     if name.startswith("power:"):
-        return languages.power_oracle(int(name.split(":", 1)[1]))
+        try:
+            r = int(name.split(":", 1)[1])
+        except ValueError:
+            raise SystemExit(f"unknown oracle {name!r}") from None
+        return languages.power_oracle(r)
     if name == "sigma-star":
         return languages.sigma_star_oracle()
     if name == "empty":
@@ -137,56 +139,6 @@ def _write(out: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise SystemExit(f"cannot write the output: {exc}") from None
-
-
-class Table(NamedTuple):
-    """A report table: ``columns`` are its CSV header and the keys of its
-    JSON row objects."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple]
-
-
-def _plain(value):
-    """A value as it stands in a CSV cell or the comment line."""
-    if isinstance(value, bool):
-        return int(value)
-    if value is None:
-        return ""
-    if isinstance(value, dict):
-        return json.dumps(value)
-    return value
-
-
-def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> str:
-    """Serialize one report: the scalars and Tables in ``fields``, in order.
-
-    JSON is ``timestamp`` and then ``fields``, each Table as a list of row
-    objects.  CSV is a ``# generated`` line, a ``# owflab COMMAND k=v ...``
-    line of the scalars (none when there are none), then each Table as a
-    header and its rows, each Table after the first under ``# NAME``."""
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if fmt == "json":
-        payload = {"timestamp": stamp} if timestamp else {}
-        for name, value in fields.items():
-            if isinstance(value, Table):
-                value = [dict(zip(value.columns, row)) for row in value.rows]
-            payload[name] = value
-        return json.dumps(payload, indent=2) + "\n"
-    out = io.StringIO()
-    if timestamp:
-        out.write(f"# generated {stamp}\n")
-    scalars = [f"{k}={_plain(v)}" for k, v in fields.items() if not isinstance(v, Table)]
-    if scalars:
-        out.write(f"# owflab {command} {' '.join(scalars)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    tables = [(k, v) for k, v in fields.items() if isinstance(v, Table)]
-    for i, (name, table) in enumerate(tables):
-        if i:
-            out.write(f"# {name.replace('_', ' ')}\n")
-        writer.writerow(table.columns)
-        writer.writerows([_plain(v) for v in row] for row in table.rows)
-    return out.getvalue()
 
 
 def _cmd_density(cfg: dict) -> tuple[dict, bool]:
@@ -335,8 +287,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # Run main from the package module, not from this __main__ copy of it:
-    # acceptance builds its Table from owflab.cli, and render checks for it.
-    from owflab.cli import main as package_main
-
-    sys.exit(package_main())
+    sys.exit(main())

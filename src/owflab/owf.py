@@ -162,10 +162,10 @@ def owf_evaluate(
     n = compute_n(ell, beta)
     params = sampler_params(n, beta, alpha)
     tape = BitTape(w)  # refuses a word with any character other than 0/1
-    payload = tape.take_bits(n)
+    payload = tape.take(n)
     sets = []
-    for i, c in enumerate(payload):
-        b = 1 if c == "1" else 0
+    for i in range(n):
+        b = payload >> (n - 1 - i) & 1
         if tape.remaining() < round_consumption(b, params, k_profile):
             exc = TapeExhausted(
                 f"round {i + 1} of {n} (b={b}) would overrun the tape; "

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from owflab import bitsampler
 from owflab.bitsampler import (
     BitTape,
     bias_profile,
@@ -175,6 +176,40 @@ def test_permutation_floor_paper_k():
         assert dist.lower_bound == Fraction((2**N - 1) ** N, 2 ** (N * N)) / math.factorial(N)
 
 
+def recursive_permutation_law(N, k):
+    """The N!-leaf reference: one Fraction multiply per node of the draw tree."""
+    probs = {}
+
+    def walk(remaining, acc, prefix):
+        if not remaining:
+            probs[prefix] = acc
+            return
+        R = len(remaining)
+        for idx in range(R):
+            p = Fraction(bitsampler._interval_count(idx, R, k), 1 << k)
+            walk(remaining[:idx] + remaining[idx + 1 :], acc * p, prefix + (remaining[idx],))
+
+    walk(list(range(1, N + 1)), Fraction(1), ())
+    return probs
+
+
+def test_prefix_walk_matches_the_full_recursion():
+    for N in range(1, 6):
+        for k in (6, 8, paper_k(N)):
+            full = recursive_permutation_law(N, k)
+            dist = permutation_distribution(N, k)
+            assert dist.probabilities == full
+            assert list(dist.probabilities) == list(full)  # the same order
+            for m in range(N + 1):
+                prefixes, subsets = {}, {}
+                for seq, p in full.items():
+                    prefixes[seq[:m]] = prefixes.get(seq[:m], 0) + p
+                    key = frozenset(seq[:m])
+                    subsets[key] = subsets.get(key, 0) + p
+                assert bitsampler._prefix_law(N, m, k) == prefixes
+                assert subset_distribution(N, m, k) == subsets
+
+
 def test_permutation_distribution_budget():
     with pytest.raises(BudgetError):
         permutation_distribution(7, 10)
@@ -253,7 +288,7 @@ def documented_expansion(seed, nbits, stream):
 
 
 tape_ops = st.lists(
-    st.tuples(st.sampled_from(["take", "skip"]), st.integers(0, 600)), max_size=12
+    st.tuples(st.sampled_from(["take", "skip"]), st.integers(0, 1000)), max_size=20
 )
 
 
@@ -261,10 +296,13 @@ tape_ops = st.lists(
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1),
-    st.integers(0, 3000),
+    st.integers(0, 6000),
     tape_ops,
 )
+@example(1, 0, 2000, [("take", 10), ("skip", 500), ("take", 0), ("take", 300)])
 def test_seeded_tape_reads_slices_of_the_expansion(seed, stream, total, ops):
+    # Reads span several blocks, skips jump past the window, and 0-bit reads
+    # land past it.
     tape = BitTape.from_seed(seed, total, stream)
     full = expand_seed_bits(seed, total, stream)
     assert full == documented_expansion(seed, total, stream)
@@ -272,16 +310,32 @@ def test_seeded_tape_reads_slices_of_the_expansion(seed, stream, total, ops):
         pos = tape.cursor
         if k > total - pos:
             with pytest.raises(TapeExhausted):
-                tape.take_bits(k) if op == "take" else tape.skip(k)
+                tape.take(k) if op == "take" else tape.skip(k)
             assert tape.cursor == pos
             continue
         if op == "take":
-            assert tape.take_bits(k) == full[pos : pos + k]
+            assert tape.take(k) == int(full[pos : pos + k] or "0", 2)
         else:
             tape.skip(k)
         assert tape.cursor == pos + k
     pos = tape.cursor
-    assert tape.take_bits(tape.remaining()) == full[pos:]
+    assert tape.take(tape.remaining()) == int(full[pos:] or "0", 2)
+
+
+def test_seeded_tape_hashes_each_block_once(monkeypatch):
+    blocks = []
+    real = hashlib.sha256
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            blocks.append(int.from_bytes(data[16:], "big"))
+            return real(data)
+
+    monkeypatch.setattr(bitsampler, "hashlib", CountingHashlib)
+    N, k = 1296, 75
+    fisher_yates(BitTape.from_seed(1, N * k), N, k)
+    assert blocks == list(range(-(-N * k // 256)))  # 380, each once, in order
 
 
 @st.composite
@@ -326,7 +380,10 @@ def test_literal_tape_refuses_every_non_bit_string(text):
 def test_literal_tape_accepts_every_bit_string(text):
     tape = BitTape(text)
     assert tape.total == len(text)
-    assert tape.take_bits(len(text)) == text
+    half = len(text) // 2
+    assert tape.take(half) == int(text[:half] or "0", 2)
+    assert tape.take(0) == 0
+    assert tape.take(len(text) - half) == int(text[half:] or "0", 2)
 
 
 def test_from_seed_checks_its_arguments():
@@ -344,7 +401,7 @@ def test_skip_has_the_bounds_check_of_take():
         tape.skip(11)
     assert tape.cursor == 0
     tape.skip(4)
-    assert tape.take_bits(6) == expand_seed_bits(3, 10)[4:]
+    assert tape.take(6) == int(expand_seed_bits(3, 10)[4:], 2)
 
 
 def test_fisher_yates_refuses_more_entries_than_elements():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from owflab import acceptance, cli, owf, turing
+from owflab import acceptance, cli, owf, report, turing
 from owflab.cli import main
 
 
@@ -80,6 +80,11 @@ def test_density_full_language_flags_violations(tmp_path):
 
 def test_unknown_oracle_is_usage_error(tmp_path):
     assert run_cli(["density", "--oracle", "nope"]) == 2
+
+
+def test_malformed_power_oracle_is_named(capsys):
+    assert run_cli(["density", "--oracle", "power:x", "--ell", "10"]) == 2
+    assert capsys.readouterr().err == "unknown oracle 'power:x'\n"
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -228,7 +233,7 @@ def test_criterion_detail_survives_csv():
     result = acceptance.CriterionResult("C0", "quoted", False, detail, 0.0, 1.0)
     config = acceptance.VerifyConfig(seed=3, trials=7, owf_trials=7)
     fields = acceptance.report_fields([result], config)
-    text = cli.render("csv", "verify-all", fields, timestamp=False)
+    text = report.render("csv", "verify-all", fields, timestamp=False)
     assert text.splitlines()[0] == (
         '# owflab verify-all config={"seed": 3, "trials": 7, "owf_trials": 7, '
         '"k_profile": "practical"} all_passed=0'
