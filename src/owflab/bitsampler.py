@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
+from itertools import pairwise
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InvariantViolation, TapeExhausted
@@ -194,12 +195,12 @@ def draw_integer(tape: BitTape, lo: int, hi: int, k: int) -> int:
     return lo + ((r_num * (hi - lo + 1)) >> k)
 
 
-def _interval_count(index: int, range_size: int, k: int) -> int:
-    """Number of k-bit patterns mapped to ``index`` by the subinterval rule."""
+def _interval_counts(range_size: int, k: int) -> tuple[int, ...]:
+    """Number of k-bit patterns mapped to each index by the subinterval rule:
+    the gaps between the R+1 ceiling edges ceil(2**k * i / R)."""
     two_k = 1 << k
-    upper = -((-two_k * (index + 1)) // range_size)  # ceil
-    lower = -((-two_k * index) // range_size)
-    return upper - lower
+    edges = [-(-two_k * i // range_size) for i in range(range_size + 1)]
+    return tuple(upper - lower for lower, upper in pairwise(edges))
 
 
 class BiasProfile(NamedTuple):
@@ -214,19 +215,26 @@ class BiasProfile(NamedTuple):
 
 def bias_profile(k: int, range_size: int) -> BiasProfile:
     """Exact per-index output counts over all 2**k tapes, with the deviation
-    bound |count/2**k - 1/range| <= 2**(-k+1) checked exactly."""
+    bound |count/2**k - 1/range| <= 2**(-k+1) checked as the integer
+    comparison max |count*range - 2**k| <= 2*range.  The counts take at most
+    two values, so one Fraction per distinct count serves every index."""
     if k > BIAS_PROFILE_MAX_K:
         raise BudgetError(f"bias profile limited to k <= {BIAS_PROFILE_MAX_K}")
     if k < 1 or range_size < 1:
         raise ValueError("need k >= 1 and range_size >= 1")
-    counts = tuple(_interval_count(i, range_size, k) for i in range(range_size))
-    if sum(counts) != 1 << k:
-        raise InvariantViolation(f"interval counts sum to {sum(counts)}, not 2**{k}")
-    probs = tuple(Fraction(c, 1 << k) for c in counts)
-    target = Fraction(1, range_size)
-    max_dev = max(abs(p - target) for p in probs)
-    bound = Fraction(2, 1 << k)
-    return BiasProfile(k, range_size, counts, probs, max_dev, bound, max_dev <= bound)
+    two_k = 1 << k
+    counts = _interval_counts(range_size, k)
+    probability = {c: Fraction(c, two_k) for c in set(counts)}
+    dev = max(abs(c * range_size - two_k) for c in probability)
+    return BiasProfile(
+        k,
+        range_size,
+        counts,
+        tuple(probability[c] for c in counts),
+        Fraction(dev, range_size * two_k),
+        Fraction(2, two_k),
+        dev <= 2 * range_size,
+    )
 
 
 def fisher_yates(
@@ -311,7 +319,7 @@ def _prefix_law(N: int, m: int, k: int) -> dict[tuple[int, ...], Fraction]:
         raise ValueError(f"cannot select {m} of {N} elements")
     prefixes: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for R in range(N, N - m, -1):
-        counts = [_interval_count(idx, R, k) for idx in range(R)]
+        counts = _interval_counts(R, k)
         prefixes = [
             (prefix + (x,), weight * count)
             for prefix, weight in prefixes

@@ -331,24 +331,32 @@ def binary_search_invert(
 
     Uses at most ceil(log2(n_bound)) + 1 decider calls: one to rule the whole
     range in or out, then bisection for the minimal admissible N, which is
-    the preimage itself.  Recorded answers are checked for monotone
-    consistency (a yes below a no); a decider that is inconsistent along the
-    probed path raises ContractViolation.
+    the preimage itself.  Bisection asks only bounds in [lo, hi), with every
+    no below lo and every yes at or above hi, so it never asks a bound twice
+    and never records a yes below a no, whatever the decider answers; a
+    decider that is not monotone gets the bisection's answer.  The largest no
+    and the smallest yes are kept as two running values, and a no above a
+    yes, which would mean the search broke its own invariant, raises
+    ContractViolation.
     """
     if n_bound < 1:
         raise ValueError("the search range must be nonempty")
-    answers: dict[int, bool] = {}
+    queries = 0
+    largest_no, smallest_yes = 0, n_bound + 1  # outside [1, n_bound]
 
     def ask(bound: int) -> bool:
-        if bound in answers:
-            return answers[bound]
+        nonlocal queries, largest_no, smallest_yes
+        queries += 1
         ans = bool(decider(y, bound))
-        answers[bound] = ans
-        _check_monotone(answers)
+        if ans:
+            smallest_yes = min(smallest_yes, bound)
+        else:
+            largest_no = max(largest_no, bound)
+        _check_monotone(largest_no, smallest_yes)
         return ans
 
     if not ask(n_bound):
-        return InversionResult(None, len(answers))
+        return InversionResult(None, queries)
     lo, hi = 1, n_bound
     while lo < hi:
         mid = (lo + hi) // 2
@@ -356,21 +364,15 @@ def binary_search_invert(
             hi = mid
         else:
             lo = mid + 1
-    return InversionResult(lo, len(answers))
+    return InversionResult(lo, queries)
 
 
-def _check_monotone(answers: dict[int, bool]) -> None:
-    # The decider's language is upward closed in the bound: once true, a
-    # larger bound can never answer false.
-    largest_false = max((b for b, a in answers.items() if not a), default=None)
-    smallest_true = min((b for b, a in answers.items() if a), default=None)
-    if (
-        largest_false is not None
-        and smallest_true is not None
-        and largest_false > smallest_true
-    ):
+def _check_monotone(largest_no: int, smallest_yes: int) -> None:
+    # Bisection asks only between its largest no and its smallest yes, so a
+    # no above a yes means the search, not the decider, went wrong.
+    if largest_no > smallest_yes:
         raise ContractViolation(
-            f"decider answered yes at {smallest_true} but no at {largest_false}"
+            f"decider answered yes at {smallest_yes} but no at {largest_no}"
         )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from owflab import bitsampler
 from owflab.bitsampler import (
+    BiasProfile,
     BitTape,
     bias_profile,
     draw_integer,
@@ -29,6 +30,24 @@ def enumerate_draw_counts(k, range_size):
     for r_num in range(1 << k):
         counts[(r_num * range_size) >> k] += 1
     return counts
+
+
+def interval_count(index, range_size, k):
+    """Number of k-bit patterns mapped to one index, ceil(2**k * (index+1) / R)
+    - ceil(2**k * index / R), computed per index."""
+    two_k = 1 << k
+    return -((-two_k * (index + 1)) // range_size) + ((-two_k * index) // range_size)
+
+
+def fraction_bias_profile(k, range_size):
+    """The Fraction reference for bias_profile: one probability per index and
+    the deviation bound checked on Fractions."""
+    counts = tuple(interval_count(i, range_size, k) for i in range(range_size))
+    probs = tuple(Fraction(c, 1 << k) for c in counts)
+    target = Fraction(1, range_size)
+    max_dev = max(abs(p - target) for p in probs)
+    bound = Fraction(2, 1 << k)
+    return BiasProfile(k, range_size, counts, probs, max_dev, bound, max_dev <= bound)
 
 
 def test_draw_integer_examples():
@@ -100,6 +119,19 @@ def test_bias_profile_k10_range3():
 def test_bias_profile_budget():
     with pytest.raises(BudgetError):
         bias_profile(25, 3)
+
+
+def test_bias_profile_matches_the_fraction_reference():
+    # C5's whole grid, the budget's k = 24, and ranges of one, above 2**k and
+    # that are powers of two.
+    pairs = [(k, r) for k in range(2, 21) for r in range(2, 65)]
+    pairs += [(24, r) for r in (3, 7, 64, 1000, 4099)]
+    pairs += [(1, 1), (1, 3), (3, 1), (2, 100)]
+    for k, r in pairs:
+        fast, slow = bias_profile(k, r), fraction_bias_profile(k, r)
+        assert fast == slow, (k, r)
+        assert [type(field) for field in fast] == [type(field) for field in slow]
+        assert {type(p) for p in fast.probabilities} == {Fraction}
 
 
 def test_interval_counts_match_literal_enumeration():
@@ -186,7 +218,7 @@ def recursive_permutation_law(N, k):
             return
         R = len(remaining)
         for idx in range(R):
-            p = Fraction(bitsampler._interval_count(idx, R, k), 1 << k)
+            p = Fraction(interval_count(idx, R, k), 1 << k)
             walk(remaining[:idx] + remaining[idx + 1 :], acc * p, prefix + (remaining[idx],))
 
     walk(list(range(1, N + 1)), Fraction(1), ())

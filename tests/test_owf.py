@@ -288,11 +288,81 @@ def test_binary_search_query_bound():
 
 
 def test_monotone_consistency_guard():
-    # A yes at a small bound with a no at a larger one breaks the contract.
-    _check_monotone({10: True, 5: False})  # consistent
-    with pytest.raises(ContractViolation):
-        _check_monotone({10: True, 50: False})
-    # Deciders that stay consistent along the probed path go undetected by
-    # construction; the bisection itself never observes such a pair.
+    # The guard checks the search's own invariant: the largest bound answered
+    # no lies below the smallest bound answered yes.
+    _check_monotone(5, 10)  # consistent
+    with pytest.raises(ContractViolation, match="yes at 10 but no at 50"):
+        _check_monotone(50, 10)
+    # Bisection asks only between its last no and its last yes, so it never
+    # records a yes below a no, and a decider that is monotone along the
+    # probed path gives the minimal admissible bound.
     res = binary_search_invert(1, lambda y, upper: upper >= 30, 100)
     assert res.preimage == 30
+
+
+def test_non_monotone_decider_gets_the_bisection_answer():
+    # Yes at every even bound, no at every odd one: bisection asks 100 (yes),
+    # 50 (yes), 25 (no), 38 (yes), 32 (yes), 29 (no) and 31 (no).
+    res = binary_search_invert(7, lambda y, upper: upper % 2 == 0, 100)
+    assert res == (32, 7)
+
+
+def rescanning_check_monotone(answers):
+    """The reference guard: rescan every recorded answer for a yes below a no."""
+    largest_false = max((b for b, a in answers.items() if not a), default=None)
+    smallest_true = min((b for b, a in answers.items() if a), default=None)
+    if (
+        largest_false is not None
+        and smallest_true is not None
+        and largest_false > smallest_true
+    ):
+        raise ContractViolation(
+            f"decider answered yes at {smallest_true} but no at {largest_false}"
+        )
+
+
+def reference_invert(y, decider, n_bound):
+    """The reference bisection: every answer recorded in a dict and the
+    whole dict rescanned after each decider call."""
+    answers = {}
+
+    def ask(bound):
+        if bound in answers:
+            return answers[bound]
+        ans = bool(decider(y, bound))
+        answers[bound] = ans
+        rescanning_check_monotone(answers)
+        return ans
+
+    if not ask(n_bound):
+        return None, len(answers)
+    lo, hi = 1, n_bound
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ask(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, len(answers)
+
+
+def random_decider(rng, n_bound, monotone):
+    """A decider with a random cut in [1, n_bound + 1] (the top cut answers no
+    everywhere), or one that answers each bound by a random bit."""
+    cut, salt = rng.randrange(1, n_bound + 2), rng.getrandbits(64)
+
+    def decider(y, upper):
+        if monotone:
+            return upper >= cut
+        return random.Random(salt ^ upper).getrandbits(1)
+
+    return decider
+
+
+def test_binary_search_invert_matches_the_rescanning_reference():
+    rng = random.Random(12)
+    for trial in range(3000):
+        n_bound = rng.choice((1, 2, 3, rng.randrange(1, 100), rng.randrange(1, 10**12)))
+        decider = random_decider(rng, n_bound, monotone=trial % 2 == 0)
+        res = binary_search_invert(0, decider, n_bound)
+        assert (res.preimage, res.queries) == reference_invert(0, decider, n_bound)

@@ -5,6 +5,7 @@ unused."""
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from collections import defaultdict
@@ -69,29 +70,162 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _uses(tree: ast.Module, module: str):
+# The nodes that open a scope of names.
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# Annotations whose iteration yields their one argument: tuple[X, ...], list[X].
+ELEMENTWISE = {"tuple", "list", "Sequence", "Iterable", "Iterator"}
+
+
+def _class_names(tree: ast.Module, module: str, classes: set[str]) -> dict[str, str]:
+    """The label "module.Class" of each class a module defines or imports by
+    name, keyed by the name it is bound to."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = f"{module}.{node.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.rpartition(".")[2]
+            for alias in node.names:
+                if f"{source}.{alias.name}" in classes:
+                    names[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return names
+
+
+def _annotated(node, names: dict[str, str]):
+    """("one", label) for an annotation naming a class, ("each", label) for a
+    container of one class such as tuple[X, ...], None for anything else."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):  # X | None
+        sides = [n for n in (node.left, node.right) if not _is_constant(n, None)]
+        return _annotated(sides[0], names) if len(sides) == 1 else None
+    if isinstance(node, ast.Name) and node.id in names:
+        return ("one", names[node.id])
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+        args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        args = [arg for arg in args if not _is_constant(arg, ...)]
+        if len(args) != 1:
+            return None
+        inner = _annotated(args[0], names)
+        if node.value.id in ELEMENTWISE and inner and inner[0] == "one":
+            return ("each", inner[1])
+    return None
+
+
+def _is_constant(node, value) -> bool:
+    return isinstance(node, ast.Constant) and node.value is value
+
+
+def _fields(tree: ast.Module, names: dict[str, str]) -> dict[str, dict[str, tuple]]:
+    """The annotated fields of each module-level class, as {label: {field:
+    ("one" or "each", label)}}, for the fields whose annotation names a class."""
+    fields = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            fields[names[cls.name]] = {
+                item.target.id: kind
+                for item in cls.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and (kind := _annotated(item.annotation, names))
+            }
+    return fields
+
+
+class _Scope:
+    """The class of each name bound in one module, function or lambda scope,
+    for the names whose every binding agrees on it.  A binding gives a class
+    when it is a parameter annotated with a class, the first parameter of a
+    method (its class), a loop or comprehension variable over a container of
+    one class, or an assignment of a class's constructor call; any other
+    binding of the name leaves it unresolved."""
+
+    def __init__(self, node, owner, names, fields):
+        self.fields = fields
+        self.bindings = defaultdict(list)  # name -> [type, or ("of", iterable)]
+        self.types = {}
+        if not isinstance(node, ast.Module):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            for i, arg in enumerate(params):
+                if i == 0 and owner is not None:
+                    self.bindings[arg.arg].append(("one", owner))
+                else:
+                    kind = arg.annotation and _annotated(arg.annotation, names)
+                    self.bindings[arg.arg].append(kind)
+            for arg in (args.vararg, args.kwarg):
+                if arg is not None:
+                    self.bindings[arg.arg].append(None)
+        given = {}  # id of a Name that a binding stores to -> its type
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.For, ast.comprehension)):
+                given[id(sub.target)] = ("of", sub.iter)
+            elif isinstance(sub, ast.AnnAssign):
+                given[id(sub.target)] = _annotated(sub.annotation, names)
+            elif (
+                isinstance(sub, ast.Assign)
+                and isinstance(sub.value, ast.Call)
+                and isinstance(sub.value.func, ast.Name)
+                and sub.value.func.id in names
+            ):
+                for target in sub.targets:
+                    given[id(target)] = ("one", names[sub.value.func.id])
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                self.bindings[sub.id].append(given.get(id(sub)))
+            elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                self.bindings[sub.name].append(None)
+            elif isinstance(sub, ast.alias):
+                self.bindings[sub.asname or sub.name.partition(".")[0]].append(None)
+
+    def name_type(self, name: str):
+        if name not in self.types:
+            self.types[name] = None  # a binding that depends on itself resolves to None
+            kinds = set()
+            for binding in self.bindings.get(name, [None]):
+                if binding is not None and binding[0] == "of":
+                    iterable = self.expr_type(binding[1])
+                    each = iterable is not None and iterable[0] == "each"
+                    binding = ("one", iterable[1]) if each else None
+                kinds.add(binding)
+            self.types[name] = kinds.pop() if len(kinds) == 1 else None
+        return self.types[name]
+
+    def expr_type(self, node):
+        if isinstance(node, ast.Name):
+            return self.name_type(node.id)
+        if isinstance(node, ast.Attribute):
+            kind = self.expr_type(node.value)
+            if kind and kind[0] == "one":
+                return self.fields.get(kind[1], {}).get(node.attr)
+        return None
+
+
+def _uses(tree: ast.Module, module: str, names: dict[str, str], fields: dict):
     """(name, line, receiver) of every name, attribute and imported name in
     a module.  receiver is None for a bare or imported name, "module.Class"
-    for self.name inside a method of Class, and "" for any other attribute."""
-    owners = {}  # self.name node -> its class
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for method in cls.body:
-            if isinstance(method, ast.FunctionDef) and method.args.args:
-                me = method.args.args[0].arg
-                for node in ast.walk(method):
-                    if (
-                        isinstance(node, ast.Attribute)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == me
-                    ):
-                        owners[node] = f"{module}.{cls.name}"
+    for an attribute of an object whose class the scope resolves (see
+    _Scope), and "" for any other attribute."""
+    owners = {}  # attribute node -> the class of its object, or ""
+    methods = {
+        id(method): f"{module}.{cls.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+    }
+    # Scopes in walk order, so an inner scope's resolution overrides its
+    # enclosing scope's for the attributes inside it.
+    for node in ast.walk(tree):
+        if isinstance(node, SCOPES):
+            scope = _Scope(node, methods.get(id(node)), names, fields)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute):
+                    kind = scope.expr_type(sub.value)
+                    owners[sub] = kind[1] if kind and kind[0] == "one" else ""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, owners.get(node, "")
+            yield node.attr, node.lineno, owners[node]
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.name, node.lineno, None
@@ -100,9 +234,9 @@ def _uses(tree: ast.Module, module: str):
 def _counts(label: str, receiver: str | None) -> bool:
     """Whether a use with this receiver can reach the definition "module.name"
     or "module.Class.method".  A method is reached only as an attribute: a
-    bare name of the same spelling does not call it, and self.name counts
-    only inside its own class.  A module-level name is not reached by
-    self.name."""
+    bare name of the same spelling does not call it, and an attribute of an
+    object whose class is resolved counts only for that class.  A
+    module-level name is not reached as an attribute of such an object."""
     owner = label.rpartition(".")[0]
     if "." in owner:
         return receiver == "" or receiver == owner
@@ -114,15 +248,32 @@ def _uncalled(package: Path, callers: list[Path]) -> list[str]:
     or in the caller folders uses.  A use inside a definition that has no
     caller itself does not count, so dead code cannot keep dead code."""
     trees = {path: _parse(path) for path in sorted(package.glob("*.py"))}
-    reached = defaultdict(set)  # name -> {receiver} in the caller folders
+    modules = {path: path.stem for path in trees}
+    caller_trees = {}
     for folder in callers:
         for path in sorted(folder.glob("*.py")):
-            module = f"{folder.name}/{path.stem}"  # matches no package class
-            for name, _, receiver in _uses(_parse(path), module):
-                reached[name].add(receiver)
+            caller_trees[path] = _parse(path)
+            modules[path] = f"{folder.name}/{path.stem}"  # matches no package class
+    everything = {**trees, **caller_trees}
+    classes = {
+        f"{modules[path]}.{node.name}"
+        for path, tree in everything.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    names = {
+        path: _class_names(tree, modules[path], classes) for path, tree in everything.items()
+    }
+    fields = {}
+    for path, tree in everything.items():
+        fields.update(_fields(tree, names[path]))
+    reached = defaultdict(set)  # name -> {receiver} in the caller folders
+    for path, tree in caller_trees.items():
+        for name, _, receiver in _uses(tree, modules[path], names[path], fields):
+            reached[name].add(receiver)
     uses = defaultdict(list)  # name -> [(path, line, receiver)] inside the package
     for path, tree in trees.items():
-        for name, line, receiver in _uses(tree, path.stem):
+        for name, line, receiver in _uses(tree, modules[path], names[path], fields):
             uses[name].append((path, line, receiver))
 
     spans = {}  # label -> (path, lines) of each definition the callers miss
@@ -158,9 +309,10 @@ def test_every_public_name_has_a_caller():
 
 def test_has_a_caller_resolves_self_to_its_class(tmp_path):
     """A dead method is not kept alive by self.name in another class: here
-    Report.line reads self.limit, and Params.limit has no caller.  Other
-    receivers, such as p.ok or report.limit, stay unresolved, so any
-    x.limit with x other than self would still count for Params.limit."""
+    Report.line reads self.limit, and Params.limit has no caller.  A
+    receiver whose class no annotation, loop or constructor call gives stays
+    unresolved, so x.limit with such an x would still count for
+    Params.limit."""
     package, callers = tmp_path / "pkg", tmp_path / "callers"
     package.mkdir()
     callers.mkdir()
@@ -179,6 +331,65 @@ def test_has_a_caller_resolves_self_to_its_class(tmp_path):
     (callers / "use.py").write_text("from pkg.mod import Params, Report\n"
                                     "print(Report().line(), Params())\n")
     assert _uncalled(package, [callers]) == ["mod.Params.limit"]
+
+
+def test_has_a_caller_resolves_annotated_receivers(tmp_path):
+    """Row.width is read through a comprehension over the annotated field
+    rows: tuple[Row, ...], Row.depth through a parameter annotated Row |
+    None, Row.size through an annotated assignment and Row.kind through a
+    constructor call, so none of them keeps the same method of Params alive.
+    The unresolved x.limit in the caller keeps Params.limit alive."""
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    methods = "".join(
+        f"    def {name}(self):\n        return 1\n\n"
+        for name in ("width", "depth", "size", "kind", "limit")
+    )
+    (package / "mod.py").write_text(
+        f"class Row:\n{methods}\n"
+        f"class Params:\n{methods}\n"
+        "class Table:\n"
+        "    rows: tuple[Row, ...]\n"
+        "\n"
+        "    def total(self):\n"
+        "        return sum(r.width() for r in self.rows)\n"
+        "\n"
+        "\n"
+        "def deepest(row: Row | None, other):\n"
+        "    first: Row = other\n"
+        "    return row.depth() + first.size()\n"
+    )
+    (callers / "use.py").write_text(
+        "from pkg.mod import Params, Row, Table, deepest\n"
+        "\n"
+        "\n"
+        "def show(x):\n"
+        "    row = Row()\n"
+        "    print(Table().total(), deepest(None, x), Params(), x.limit(), row.kind())\n"
+    )
+    assert _uncalled(package, [callers]) == [
+        "mod.Params.depth",
+        "mod.Params.kind",
+        "mod.Params.size",
+        "mod.Params.width",
+    ]
+
+
+def test_has_a_caller_resolves_a_loop_over_a_dataclass_field(tmp_path):
+    # reduction.TransferReport.violations reads p.ok with p looping over the
+    # field points: tuple[TransferPoint, ...], so a dead SamplerParams.ok in
+    # a copy of the package is found.
+    package = tmp_path / "owflab"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    threshold = package / "threshold.py"
+    source = threshold.read_text()
+    anchor = "        return self.m <= self.n\n"
+    assert source.count(anchor) == 1
+    dead = "\n    @property\n    def ok(self) -> bool:\n        return True\n"
+    threshold.write_text(source.replace(anchor, anchor + dead))
+    callers = [ROOT / "demos", ROOT / "owbench"]
+    assert _uncalled(package, callers) == ["threshold.SamplerParams.ok"]
 
 
 def _unused_imports(path: Path) -> list[str]:
