@@ -13,11 +13,12 @@ factorial-ratio bounds is
     mu_lower = floor(1 + N(1-p) - r)      mu_upper = ceil(N - r)
 
 with the root term r = (N! / (2 * ((1-p)N)!))**(1/(pN)).  The bounds are
-computed exactly, in one place: ``mu_bounds_exact(N, good)`` takes floor(r) as
-the integer good-th root ``words.iroot`` of half the falling factorial
-N!/(N-good)!, so floor and ceil need no precision argument.  C3 and
-``owflab threshold`` read the sandwich off ``sandwich_grid``, as C4 and the
-command read the regime checks off ``bollobas_grid``.
+computed exactly, in one place: ``_mu_bounds`` takes floor(r) as the integer
+good-th root ``words.iroot`` of half the falling factorial N!/(N-good)!, so
+floor and ceil need no precision argument.  ``mu_bounds_exact(N, good)``
+checks the urn and calls it; C3 and ``owflab threshold`` read the sandwich off
+``sandwich_grid``, which calls it with the falling factorial carried along
+each row, as C4 and the command read the regime checks off ``bollobas_grid``.
 
 m(N), the number of elements the sampler actually draws, is
 floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, with
@@ -42,12 +43,14 @@ ALPHA_TERM_LIMIT = 10**5  # m is found by raising integers to alpha's
 
 
 def hit_probability(N: int, good: int, k: int) -> Fraction:
-    """Pr(Q_k), exact, as 1 - perm(N-good, k)/perm(N, k); the miss ratio is
-    1 at k = 0 and 0 once k > N - good."""
+    """Pr(Q_k), exact, as (total - miss)/total with miss = perm(N-good, k)
+    and total = perm(N, k), reduced once; the miss ratio is 1 at k = 0 and 0
+    once k > N - good."""
     N, good = _check_urn(N, good)
     if k < 0 or k > N:
         raise ValueError(f"draw count k={k} outside [0, {N}]")
-    return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
+    total = math.perm(N, k)
+    return Fraction(total - math.perm(N - good, k), total)
 
 
 def _check_urn(N: int, good: int) -> tuple[int, int]:
@@ -119,18 +122,21 @@ def mu_bounds(
 
 def mu_bounds_exact(N: int, good: int) -> MuBounds:
     """The bounds at p = good/N, for N >= 2 and 1 <= good <= N, in
-    big-integer arithmetic.
-
-    Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r).  With
-    the falling factorial ff = N!/((N-good)!), r = (ff/2)**(1/good), and
-    2*t**good <= ff exactly when t**good <= ff // 2, so
-    floor(r) = iroot(ff // 2, good).
-    """
+    big-integer arithmetic, by ``_mu_bounds`` at ff = perm(N, good)."""
     if N < 2:
         raise ValueError("the bounds need N >= 2")
     if not 1 <= good <= N:
         raise ValueError(f"good count {good} outside [1, {N}]")
-    ff = math.perm(N, good)
+    return _mu_bounds(N, good, math.perm(N, good))
+
+
+def _mu_bounds(N: int, good: int, ff: int) -> MuBounds:
+    """The bounds from the falling factorial ff = N!/((N-good)!), unchecked.
+
+    Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r).  Here
+    r = (ff/2)**(1/good), and 2*t**good <= ff exactly when
+    t**good <= ff // 2, so floor(r) = iroot(ff // 2, good).
+    """
     floor_r = iroot(ff // 2, good)
     ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
     lower = 1 + (N - good) - ceil_r
@@ -143,12 +149,16 @@ def sandwich_grid(n_max: int) -> Iterator[tuple]:
     for N in [4, n_max] and 1 <= good < N, where sandwich_ok is
     max(0, mu_lower) <= m* <= mu_upper.  Each probability is one int division
     (total - miss)/total of the walk's counts, so it is rounded once; good >= 1
-    puts m* at most N - 1, so the step to m* + 1 exists."""
+    puts m* at most N - 1, so the step to m* + 1 exists.  Along a row the
+    falling factorial perm(N, good) of the bounds grows by one multiply per
+    step, ff *= N - good + 1."""
     for N in range(4, n_max + 1):
+        ff = 1
         for good in range(1, N):
+            ff *= N - good + 1
             mstar, miss, total = _threshold_walk(N, good)
             miss_next, total_next = miss * (N - good - mstar), total * (N - mstar)
-            mb = mu_bounds_exact(N, good)
+            mb = _mu_bounds(N, good, ff)
             ok = mb.lower_clamped <= mstar <= mb.upper
             yield (N, good, mstar, mb.lower, mb.upper, (total - miss) / total,
                    (total_next - miss_next) / total_next, ok)
@@ -222,8 +232,7 @@ def sampler_params(
     )
 
 
-@dataclass(frozen=True)
-class BollobasVerdict:
+class BollobasVerdict(NamedTuple):
     N: int
     good: int
     theta: Fraction
@@ -249,16 +258,23 @@ def bollobas_check(
     Both comparisons are done exactly by clearing the fractional powers of 2:
     with 1 - Pr(Q_m) = miss/total in lowest terms and theta = a/b, the first
     is miss**a * 2**b >= total**a and the second is miss**b * 2**a <= total**b.
+    The check raises integers to a and b, so theta's numerator and
+    denominator may not exceed ALPHA_TERM_LIMIT, the bound on alpha's.
     """
     theta = Fraction(theta)
-    if theta < 1:
+    a, b = theta.numerator, theta.denominator
+    if a < b:
         raise ValueError("theta must be >= 1")
+    if a > ALPHA_TERM_LIMIT:  # b <= a, so a is the larger term
+        raise ValueError(
+            f"theta {theta} has a numerator or denominator above {ALPHA_TERM_LIMIT}"
+        )
     if mstar is None:
         mstar = exact_threshold(N, good)
     pr = hit_probability(N, good, m)
     # 1 - pr in lowest terms, since gcd(d - n, d) = gcd(n, d) = 1
-    miss, total = pr.denominator - pr.numerator, pr.denominator
-    a, b = theta.numerator, theta.denominator
+    total = pr.denominator
+    miss = total - pr.numerator
     if m * a <= mstar * b:  # m <= mstar / theta
         holds = miss**a * 2**b >= total**a
         regime = "below"

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,7 +14,9 @@ from scipy.stats import hypergeom
 from owflab.errors import InvariantViolation
 from owflab.threshold import (
     DEFAULT_ALPHA_SMALL_BETA,
+    _threshold_walk,
     bollobas_check,
+    bollobas_grid,
     derive_constants,
     exact_threshold,
     hit_probability,
@@ -320,7 +323,121 @@ def test_bollobas_irrational_bound_is_exact():
         bollobas_check(10, 2, Fraction(1, 2), 1)
 
 
-def test_threshold_instance_bundles_the_sandwich():
+# The Fraction route that bollobas_check and hit_probability replaced: the
+# hit probability as 1 - miss/total, a frozen dataclass per verdict, and
+# theta compared as a Fraction.  Kept as the reference for the integer route.
+def hit_probability_reference(N, good, k):
+    return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
+
+
+@dataclass(frozen=True)
+class VerdictReference:
+    N: int
+    good: int
+    theta: Fraction
+    m: int
+    mstar: int
+    regime: str
+    holds: bool | None
+    pr: Fraction
+
+
+def bollobas_check_reference(N, good, theta, m, *, mstar=None):
+    theta = Fraction(theta)
+    if theta < 1:
+        raise ValueError("theta must be >= 1")
+    if mstar is None:
+        mstar = exact_threshold(N, good)
+    pr = hit_probability_reference(N, good, m)
+    miss, total = pr.denominator - pr.numerator, pr.denominator
+    a, b = theta.numerator, theta.denominator
+    if m * a <= mstar * b:
+        holds = miss**a * 2**b >= total**a
+        regime = "below"
+    elif m * b >= (mstar + 1) * a:
+        holds = miss**b * 2**a <= total**b
+        regime = "above"
+    else:
+        holds = None
+        regime = "between"
+    return VerdictReference(N, good, theta, m, mstar, regime, holds, pr)
+
+
+def assert_same_verdict(verdict, reference):
+    assert verdict._fields == tuple(f.name for f in fields(reference))
+    for name in verdict._fields:
+        ours, ref = getattr(verdict, name), getattr(reference, name)
+        assert ours == ref and type(ours) is type(ref), (name, verdict, reference)
+
+
+def test_hit_probability_matches_the_fraction_route():
+    for N in (1, 2, 7, 40, 120):
+        for good in range(N + 1):
+            for k in range(N + 1):
+                ours = hit_probability(N, good, k)
+                assert ours == hit_probability_reference(N, good, k), (N, good, k)
+                assert type(ours) is Fraction
+
+
+def test_bollobas_grid_matches_the_fraction_route():
+    # Every verdict of the regime grid, rebuilt here from its definition.
+    verdicts = list(bollobas_grid(60))
+    cases = []
+    for N in range(10, 61):
+        for good in range(1, N):
+            mstar = exact_threshold(N, good)
+            for theta in (1, 2, 4):
+                cases.append((N, good, theta, mstar // theta, mstar))
+                if theta * (mstar + 1) <= N:
+                    cases.append((N, good, theta, theta * (mstar + 1), mstar))
+    assert len(verdicts) == len(cases)
+    for verdict, (N, good, theta, m, mstar) in zip(verdicts, cases):
+        assert_same_verdict(
+            verdict, bollobas_check_reference(N, good, theta, m, mstar=mstar)
+        )
+
+
+def test_bollobas_between_regimes_match_the_fraction_route():
+    # Every draw count at fractional and integer theta, so the gap between
+    # the regimes is crossed; theta comes as int and as Fraction, and m*
+    # is found inside the check as well as passed in.
+    seen = set()
+    for N, good in ((10, 1), (37, 5), (100, 3), (100, 10)):
+        mstar = exact_threshold(N, good)
+        for theta in (1, 2, Fraction(3, 2), Fraction(7, 3), Fraction(2), 4):
+            for m in range(N + 1):
+                for given_mstar in (None, mstar):
+                    verdict = bollobas_check(N, good, theta, m, mstar=given_mstar)
+                    ref = bollobas_check_reference(N, good, theta, m, mstar=given_mstar)
+                    assert_same_verdict(verdict, ref)
+                    seen.add(verdict.regime)
+    assert seen == {"below", "between", "above"}
+
+
+def test_bollobas_verdict_is_a_tuple():
+    v = bollobas_check(4, 2, 1, 1)
+    assert v == (4, 2, Fraction(1), 1, 1, "below", True, Fraction(1, 2))
+    N, good, theta, m, mstar, regime, holds, pr = v
+    assert (regime, holds, pr) == ("below", True, Fraction(1, 2))
+
+
+def test_bollobas_check_bounds_the_size_of_theta():
+    # The check raises integers to theta's numerator and denominator, so it
+    # refuses terms above the limit of 10**5 that sampler_params sets for
+    # alpha.  Fraction(1.1) is 2476979795053773/2251799813685248.
+    limit = Fraction(100_000, 99_999)
+    assert_same_verdict(
+        bollobas_check(10, 2, limit, 1), bollobas_check_reference(10, 2, limit, 1)
+    )
+    assert bollobas_check(10, 2, 100_000, 10).regime == "between"
+    for theta in (Fraction(1.1), Fraction(100_001), Fraction(100_001, 100_000)):
+        with pytest.raises(ValueError, match="above 100000"):
+            bollobas_check(10, 2, theta, 1)
+    with pytest.raises(ValueError, match="theta must be >= 1"):
+        bollobas_check(10, 2, Fraction(1, 10**6), 1)
+
+
+def test_mu_bounds_checks_the_sandwich_inside():
     mstar = exact_threshold(4, 2)
     mb = mu_bounds(4, Fraction(2, 4))  # the sandwich is checked inside
     assert (mstar, mb.lower, mb.upper) == (1, 0, 2)
@@ -338,16 +455,22 @@ def test_sandwich_grid_rows():
 
 
 def test_sandwich_grid_against_the_exact_fractions():
-    # The grid reads its probabilities off the walk's integers; the exact
-    # Fraction route of hit_probability is the reference, rounded once.
-    rows = list(sandwich_grid(80))
-    assert len(rows) == sum(N - 1 for N in range(4, 81))
-    for N, good, mstar, lo, up, pr_at, pr_after, ok in rows:
-        assert mstar == exact_threshold(N, good)
-        assert (lo, up) == mu_bounds_exact(N, good)[:2]
-        assert pr_at == float(hit_probability(N, good, mstar))
-        assert pr_after == float(hit_probability(N, good, mstar + 1))
-        assert ok == (max(0, lo) <= mstar <= up)
+    # The grid carries perm(N, good) along each row and reads its
+    # probabilities off the walk's integers.  The per-pair bounds, the walk
+    # and the exact Fraction route of hit_probability, rounded once, are the
+    # reference.
+    rows = list(sandwich_grid(150))
+    pairs = [(N, good) for N in range(4, 151) for good in range(1, N)]
+    assert len(rows) == len(pairs)
+    for row, (N, good) in zip(rows, pairs):
+        mstar = _threshold_walk(N, good)[0]
+        mb = mu_bounds_exact(N, good)
+        assert row == (
+            N, good, mstar, mb.lower, mb.upper,
+            float(hit_probability(N, good, mstar)),
+            float(hit_probability(N, good, mstar + 1)),
+            mb.lower_clamped <= mstar <= mb.upper,
+        ), (N, good)
 
 
 def test_quotient_ratio_decreases_along_sweep():
