@@ -7,7 +7,7 @@ The package decomposes the construction into small, exactly testable pieces:
 - ``languages``   decidable language oracles and exact density functions
 - ``turing``      padded machine codes, a step-budgeted simulator, and the
                   toy diagonal language
-- ``reduction``   square casting and the order-preserving block reduction
+- ``reduction``   the order-preserving block reduction into the squares
 - ``threshold``   exact urn hit probabilities, the threshold m*, and its
                   closed-form bounds
 - ``bitsampler``  deterministic uniform selection from a finite bit tape

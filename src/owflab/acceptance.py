@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from . import bitsampler, languages, owf, threshold, turing, words
+from . import bitsampler, languages, owf, reduction, threshold, turing, words
 from .report import Table, render
 
 # Diagonal-language census under the fixed code format (computed once by
@@ -222,6 +222,33 @@ def _criterion_11(config: VerifyConfig) -> tuple[bool, str]:
     )
 
 
+def _criterion_12(config: VerifyConfig) -> tuple[bool, str]:
+    # The switch from L_D to its image in the squares: the block reduction
+    # lands every short word on a square, strictly increasing in (length,
+    # value) order, and the image of L_D is at least as dense as L_D.
+    code, lam = "1011001110", 3
+    images = [
+        reduction.reduce_phi(format(v, f"0{length}b"), code, lam)
+        for length in range(1, 13)
+        for v in range(2**length)
+    ]
+    off_squares = sum(not languages.SQ.member(phi.image) for phi in images)
+    values = [phi.value for phi in images]
+    unordered = sum(a >= b for a, b in zip(values, values[1:]))
+    diagonal = languages.LanguageOracle(
+        "diagonal", turing.diagonal_member, 1, None, 1
+    )
+    thresholds = [words.min_word(v) for v in range(16, 2**12 + 1, 16)]
+    report = reduction.density_transfer_check(diagonal, code, lam, 2**12, thresholds)
+    violations = len(report.violations)
+    ok = off_squares == unordered == violations == 0
+    return ok, (
+        f"{len(values)} words of length <= 12 under phi: {off_squares} images "
+        f"off the squares, {unordered} order breaks; L_D transfer at "
+        f"{len(thresholds)} thresholds <= 2**12: {violations} violations"
+    )
+
+
 @dataclass(frozen=True)
 class Criterion:
     ident: str
@@ -242,6 +269,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("C9", "diagonal-census", 120, _criterion_9),
     Criterion("C10", "inversion-demo", 5, _criterion_10),
     Criterion("C11", "report-determinism", 120, _criterion_11),
+    Criterion("C12", "density-transfer", 10, _criterion_12),
 )
 
 _BY_IDENT = {c.ident: c for c in CRITERIA}

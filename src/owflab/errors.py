@@ -13,10 +13,6 @@ class DegenerateParameters(ValueError):
     """Sampler parameters fall outside the regime the algorithm supports."""
 
 
-class ContractViolation(RuntimeError):
-    """A caller-supplied callable broke the contract it was declared under."""
-
-
 class InvariantViolation(AssertionError):
     """An internal invariant failed.  Raised explicitly, so the check also
     runs under ``python -O``."""

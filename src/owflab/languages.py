@@ -54,7 +54,7 @@ def is_perfect_power(value: int, r: int) -> bool:
     """True iff value = x**r for some integer x >= 1."""
     if value < 1:
         return False
-    return iroot(value, r) ** r == value
+    return iroot(value, r)[1] == 0
 
 
 def _canonical(w: Word) -> bool:

@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .bitsampler import BitTape, profile_k, select_subset
 from .errors import (
-    ContractViolation,
     DegenerateParameters,
     InvariantViolation,
     TapeExhausted,
@@ -337,7 +336,7 @@ def binary_search_invert(
     decider that is not monotone gets the bisection's answer.  The largest no
     and the smallest yes are kept as two running values, and a no above a
     yes, which would mean the search broke its own invariant, raises
-    ContractViolation.
+    InvariantViolation.
     """
     if n_bound < 1:
         raise ValueError("the search range must be nonempty")
@@ -371,7 +370,7 @@ def _check_monotone(largest_no: int, smallest_yes: int) -> None:
     # Bisection asks only between its largest no and its smallest yes, so a
     # no above a yes means the search, not the decider, went wrong.
     if largest_no > smallest_yes:
-        raise ContractViolation(
+        raise InvariantViolation(
             f"decider answered yes at {smallest_yes} but no at {largest_no}"
         )
 

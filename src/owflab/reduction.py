@@ -1,20 +1,15 @@
-"""Square approximation and the injective, order-preserving block reduction.
-
-``square_cast`` lifts a word to the next perfect square above its value.  The
-distance Delta to that square is at most 2*ceil(sqrt(v)) + 1, so it occupies
-no more than about half as many bits as the input; for random long words the
-addition therefore stays in the lower half of the bits and the high-order
-header survives.  (Adversarial all-ones words can carry further; the report
-fields record what actually happened instead of pretending otherwise.)
+"""The injective, order-preserving block reduction into the squares.
 
 ``reduce_phi`` maps a word w to  code || w || 0**nu  interpreted in binary,
 with nu chosen so the total length is an exact multiple lambda of
-k = len(code) + len(w), then adds Delta to land on a perfect square.  Blocks
-are located by fixed offsets rather than in-band separators, so they are
-recoverable exactly; because the trailer is all zeroes and Delta fits inside
-it, the addition never carries into the source or code blocks.  The map is
-injective and strictly increasing: a shorter source gives a shorter (hence
-smaller) image, and equal-length sources keep their numeric order.
+k = len(code) + len(w), then adds the distance Delta to the next perfect
+square.  Blocks are located by fixed offsets rather than in-band separators,
+so they are recoverable exactly; because the trailer is all zeroes and Delta
+fits inside it, the addition never carries into the source or code blocks.
+The map is injective and strictly increasing: a shorter source gives a
+shorter (hence smaller) image, and equal-length sources keep their numeric
+order.  ``density_transfer_check`` counts that the image of a language is
+at least as dense as the language at corresponding points.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from typing import Iterable
 
 from .errors import BudgetError, InvariantViolation
 from .languages import LanguageOracle
-from .turing import header_length
 from .words import Word, min_word, word_value
 
 
@@ -37,54 +31,6 @@ def next_square_delta(x: int) -> int:
     if root * root == x:
         return 0
     return (root + 1) ** 2 - x
-
-
-def delta_bitlength_ok(x: int, delta: int) -> bool:
-    """Exact form of the bit-length ceiling 3 + ceil(log2 x)/2 + 1."""
-    ceil_log = (x - 1).bit_length()
-    # bitlen(delta) <= 4 + ceil_log/2, compared in doubled integers
-    return 2 * delta.bit_length() <= 8 + ceil_log
-
-
-@dataclass(frozen=True)
-class SquareCast:
-    input_word: Word
-    delta: int
-    output_word: Word
-    hamming: int
-    header_preserved: bool
-
-    @property
-    def output_value(self) -> int:
-        return word_value(self.output_word)
-
-
-def square_cast(w: Word) -> SquareCast:
-    """Cast a word onto the next perfect square above its value.
-
-    The output keeps the input's width when the square still fits in it and
-    grows only by the carry overflow otherwise.  ``hamming`` is the distance
-    between the zero-padded input and the output at the output's width;
-    ``header_preserved`` records whether the top ceil(log2 len(w)) bits
-    survived at that alignment.
-    """
-    v = word_value(w)
-    if v < 1:
-        raise ValueError("square casting needs a word of value >= 1")
-    delta = next_square_delta(v)
-    v_sq = v + delta
-    out_len = max(len(w), v_sq.bit_length())
-    output = format(v_sq, f"0{out_len}b")
-    padded_in = w.zfill(out_len)
-    hamming = sum(a != b for a, b in zip(padded_in, output))
-    h = header_length(len(w))
-    return SquareCast(
-        input_word=w,
-        delta=delta,
-        output_word=output,
-        hamming=hamming,
-        header_preserved=padded_in[:h] == output[:h],
-    )
 
 
 @dataclass(frozen=True)
@@ -155,10 +101,6 @@ class TransferPoint:
     def ok(self) -> bool:
         return self.source_count <= self.image_count
 
-    @property
-    def strict(self) -> bool:
-        return self.source_count < self.image_count
-
 
 @dataclass(frozen=True)
 class TransferReport:
@@ -167,10 +109,6 @@ class TransferReport:
     @property
     def violations(self) -> tuple[TransferPoint, ...]:
         return tuple(p for p in self.points if not p.ok)
-
-    @property
-    def strict_points(self) -> int:
-        return sum(p.strict for p in self.points)
 
 
 def density_transfer_check(
@@ -185,21 +123,23 @@ def density_transfer_check(
 
     For every threshold word w, the number of member values v <= (w)_2 must
     not exceed the number of image values phi(v') <= phi(w) over members v'.
-    Members are enumerated in minimal binary form up to ``limit``.
+    Members are enumerated in minimal binary form up to ``limit``, after
+    every threshold is checked to be a bit string of value in [1, limit].
     """
     if limit > TRANSFER_BUDGET:
         raise BudgetError(
             f"member enumeration to {limit} exceeds budget {TRANSFER_BUDGET}"
         )
+    thresholds = list(thresholds)
+    values = [word_value(w) for w in thresholds]
+    if not all(1 <= wv <= limit for wv in values):
+        raise ValueError("thresholds must have value in [1, limit]")
     member_values = [
         y for y in range(1, limit + 1) if oracle.member(min_word(y))
     ]
     member_images = [reduce_phi(min_word(y), code, lam).value for y in member_values]
     points = []
-    for w in thresholds:
-        wv = word_value(w)
-        if wv < 1 or wv > limit:
-            raise ValueError("thresholds must have value in [1, limit]")
+    for w, wv in zip(thresholds, values):
         phi_w = reduce_phi(w, code, lam).value
         source_count = sum(1 for y in member_values if y <= wv)
         image_count = sum(1 for img in member_images if img <= phi_w)

@@ -135,10 +135,11 @@ def _mu_bounds(N: int, good: int, ff: int) -> MuBounds:
 
     Uses floor(A - r) = A - ceil(r) and ceil(N - r) = N - floor(r).  Here
     r = (ff/2)**(1/good), and 2*t**good <= ff exactly when
-    t**good <= ff // 2, so floor(r) = iroot(ff // 2, good).
+    t**good <= ff // 2, so floor(r) = iroot(ff // 2, good); r is an integer
+    exactly when ff is even and that root leaves no remainder.
     """
-    floor_r = iroot(ff // 2, good)
-    ceil_r = floor_r if 2 * floor_r**good == ff else floor_r + 1
+    floor_r, rest = iroot(ff // 2, good)
+    ceil_r = floor_r if ff % 2 == 0 and rest == 0 else floor_r + 1
     lower = 1 + (N - good) - ceil_r
     upper = N - floor_r
     return MuBounds(lower, upper, max(0, lower))
@@ -221,7 +222,7 @@ def sampler_params(
     # m = floor(mu * N**(-1/alpha)) is the largest m with m**a * N**b <= mu**a
     # for alpha = a/b, that is the a-th root of mu**a // N**b.
     a, b = alpha.numerator, alpha.denominator
-    m = iroot(mu**a // N**b, a) if mu > 0 else 0
+    m = iroot(mu**a // N**b, a)[0] if mu > 0 else 0
     return SamplerParams(
         n=n,
         beta=beta,

@@ -101,25 +101,28 @@ def gn_of_integer(y: int) -> GoedelIndex:
     return (1 << y.bit_length()) + y
 
 
-def iroot(value: int, r: int) -> int:
-    """Largest integer t with t**r <= value, exact for value >= 0 and r >= 1.
+def iroot(value: int, r: int) -> tuple[int, int]:
+    """(t, value - t**r) for the largest integer t with t**r <= value, exact
+    for value >= 0 and r >= 1; the remainder is 0 iff value is an r-th power.
 
     A root below 2**53 comes from a float estimate and a few unit steps.  A
     larger one takes Newton steps down from the root of value's top bits,
     scaled back up, which lies above it.  Either way the cost grows with the
-    bit length of value, not with the size of the root.
+    bit length of value, not with the size of the root, and t**r comes from
+    the powers the search already took.
 
     >>> iroot(26, 3), iroot(27, 3), iroot(10**6, 7)
-    (2, 3, 7)
-    >>> iroot(3**699, 3) == 3**233
+    ((2, 18), (3, 0), (7, 176457))
+    >>> iroot(3**699, 3) == (3**233, 0)
     True
     """
     if value < 0:
         raise ValueError("negative value")
     if r == 1:
-        return value
+        return value, 0
     if r == 2:
-        return math.isqrt(value)
+        t = math.isqrt(value)
+        return t, value - t * t
     if r < 1:
         raise ValueError("root degree must be >= 1")
     bits = value.bit_length()
@@ -127,15 +130,16 @@ def iroot(value: int, r: int) -> int:
         # value ** (1 / r) overflows once value passes about 2**1024.
         est = value ** (1.0 / r) if bits <= 1000 else math.exp(math.log(value) / r)
         t = int(est)
-        while t**r > value:
+        while (power := t**r) > value:
             t -= 1
-        while (t + 1) ** r <= value:
-            t += 1
-        return t
+        while (above := (t + 1) ** r) <= value:
+            t, power = t + 1, above
+        return t, value - power
     shift = (bits - 1) // r - 52
-    t = (iroot(value >> (r * shift), r) + 1) << shift
+    t = (iroot(value >> (r * shift), r)[0] + 1) << shift
     while True:
-        u = ((r - 1) * t + value // t ** (r - 1)) // r
+        lower = t ** (r - 1)
+        u = ((r - 1) * t + value // lower) // r
         if u >= t:
-            return t
+            return t, value - lower * t
         t = u

@@ -504,4 +504,4 @@ def test_verify_all_reports_are_deterministic(tmp_path):
     assert strip_timestamps(outputs[0]) == strip_timestamps(outputs[1])
     payload = json.loads(outputs[0])
     assert payload["all_passed"] is True
-    assert len(payload["criteria"]) == 11
+    assert len(payload["criteria"]) == 12

@@ -10,7 +10,6 @@ import pytest
 
 from owflab.bitsampler import BitTape, expand_seed_bits
 from owflab.errors import (
-    ContractViolation,
     DegenerateParameters,
     InvariantViolation,
     TapeExhausted,
@@ -291,7 +290,7 @@ def test_monotone_consistency_guard():
     # The guard checks the search's own invariant: the largest bound answered
     # no lies below the smallest bound answered yes.
     _check_monotone(5, 10)  # consistent
-    with pytest.raises(ContractViolation, match="yes at 10 but no at 50"):
+    with pytest.raises(InvariantViolation, match="yes at 10 but no at 50"):
         _check_monotone(50, 10)
     # Bisection asks only between its last no and its last yes, so it never
     # records a yes below a no, and a decider that is monotone along the
@@ -316,7 +315,7 @@ def rescanning_check_monotone(answers):
         and smallest_true is not None
         and largest_false > smallest_true
     ):
-        raise ContractViolation(
+        raise InvariantViolation(
             f"decider answered yes at {smallest_true} but no at {largest_false}"
         )
 

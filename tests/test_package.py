@@ -17,10 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "owflab"
 
-# The reduction module checks the paper's density transfer, which no command
-# or criterion runs yet; it is exempt until it becomes verify-all's C12.
-NO_CALLER_EXEMPT = {"reduction.py"}
-
 
 def test_cli_import_leaves_mpmath_unloaded():
     # mpmath serves quotient_ratio alone; a command that does not call it
@@ -278,8 +274,6 @@ def _uncalled(package: Path, callers: list[Path]) -> list[str]:
 
     spans = {}  # label -> (path, lines) of each definition the callers miss
     for path, tree in trees.items():
-        if path.name in NO_CALLER_EXEMPT:
-            continue
         for qualname, node in _definitions(tree):
             label = f"{path.stem}.{qualname}"
             if not any(_counts(label, r) for r in reached[label.rpartition(".")[2]]):
@@ -390,6 +384,17 @@ def test_has_a_caller_resolves_a_loop_over_a_dataclass_field(tmp_path):
     threshold.write_text(source.replace(anchor, anchor + dead))
     callers = [ROOT / "demos", ROOT / "owbench"]
     assert _uncalled(package, callers) == ["threshold.SamplerParams.ok"]
+
+
+def test_has_a_caller_covers_the_reduction_module(tmp_path):
+    # No module is exempt: a dead public function appended to reduction.py
+    # in a copy of the package is found like one in any other module.
+    package = tmp_path / "owflab"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    reduction = package / "reduction.py"
+    reduction.write_text(reduction.read_text() + "\n\ndef dead() -> int:\n    return 1\n")
+    callers = [ROOT / "demos", ROOT / "owbench"]
+    assert _uncalled(package, callers) == ["reduction.dead"]
 
 
 def _unused_imports(path: Path) -> list[str]:

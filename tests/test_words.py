@@ -88,8 +88,10 @@ def test_bits_are_msb_first():
     assert word_value("01") == 1
 
 
-def assert_is_root(t, value, r):
+def assert_is_root(result, value, r):
+    t, rest = result
     assert t**r <= value < (t + 1) ** r
+    assert rest == value - t**r
 
 
 @st.composite
@@ -121,7 +123,7 @@ def test_iroot_small_values_and_large_degrees():
         for r in (3, 5, 20):
             for value in (t**r - 1, t**r, t**r + 1):
                 assert_is_root(iroot(value, r), value, r)
-    assert iroot(3**699, 3) == 3**233
+    assert iroot(3**699, 3) == (3**233, 0)
 
 
 def test_iroot_rejects_bad_arguments():
