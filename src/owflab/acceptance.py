@@ -238,14 +238,22 @@ def _criterion_12(config: VerifyConfig) -> tuple[bool, str]:
     diagonal = languages.LanguageOracle(
         "diagonal", turing.diagonal_member, 1, None, 1
     )
-    thresholds = [words.min_word(v) for v in range(16, 2**12 + 1, 16)]
-    report = reduction.density_transfer_check(diagonal, code, lam, 2**12, thresholds)
+    # At a minimal threshold the two counts are equal by construction, since
+    # phi is increasing on minimal words.  A threshold zero-padded to 12 bits
+    # ranks above every shorter member, so there the image count runs ahead.
+    minimal = [words.min_word(v) for v in range(16, 2**12 + 1, 16)]
+    padded = [format(v, "012b") for v in range(16, 2**11, 16)]
+    report = reduction.density_transfer_check(
+        diagonal, code, lam, 2**12, minimal + padded
+    )
     violations = len(report.violations)
+    ahead = sum(p.source_count < p.image_count for p in report.points)
     ok = off_squares == unordered == violations == 0
     return ok, (
         f"{len(values)} words of length <= 12 under phi: {off_squares} images "
         f"off the squares, {unordered} order breaks; L_D transfer at "
-        f"{len(thresholds)} thresholds <= 2**12: {violations} violations"
+        f"{len(minimal)} minimal and {len(padded)} zero-padded thresholds "
+        f"<= 2**12: {violations} violations, image count ahead at {ahead}"
     )
 
 

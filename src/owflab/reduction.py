@@ -15,6 +15,7 @@ at least as dense as the language at corresponding points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,11 +138,15 @@ def density_transfer_check(
     member_values = [
         y for y in range(1, limit + 1) if oracle.member(min_word(y))
     ]
-    member_images = [reduce_phi(min_word(y), code, lam).value for y in member_values]
+    # member_values is increasing; the images are sorted rather than assumed
+    # to keep that order, so the image count does not take phi's order on trust.
+    member_images = sorted(
+        reduce_phi(min_word(y), code, lam).value for y in member_values
+    )
     points = []
     for w, wv in zip(thresholds, values):
         phi_w = reduce_phi(w, code, lam).value
-        source_count = sum(1 for y in member_values if y <= wv)
-        image_count = sum(1 for img in member_images if img <= phi_w)
+        source_count = bisect_right(member_values, wv)
+        image_count = bisect_right(member_images, phi_w)
         points.append(TransferPoint(w, source_count, image_count))
     return TransferReport(tuple(points))

@@ -31,7 +31,8 @@ DETAILS = {
     "C9": "exhaustive census {4: 16, 6: 64, 8: 256} vs frozen {4: 16, 6: 64, 8: 256}",
     "C12": (
         "8190 words of length <= 12 under phi: 0 images off the squares, "
-        "0 order breaks; L_D transfer at 256 thresholds <= 2**12: 0 violations"
+        "0 order breaks; L_D transfer at 256 minimal and 127 zero-padded "
+        "thresholds <= 2**12: 0 violations, image count ahead at 127"
     ),
 }
 
