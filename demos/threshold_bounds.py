@@ -9,15 +9,49 @@ probability moves once the draw count leaves m* by a factor theta.
 
 from fractions import Fraction
 
+import mpmath
+
 from owflab.threshold import (
     bollobas_check,
     derive_constants,
     exact_threshold,
     hit_probability,
     mu_bounds,
-    quotient_ratio,
     sampler_params,
 )
+
+
+def growth_quotient(n, d, beta):
+    """(value, value * n**gamma, C/N) of the sampled-versus-threshold growth
+    quotient at alpha, gamma = derive_constants(beta),
+
+        N**(1/alpha) * (1 + n - A)  /  (1 + B - C),   N = n**(2*beta),
+
+        A = 2**(-e) * (Gamma(n+1) / Gamma(n - d*n**(3-2*beta) + 1))**e,
+            e = n**(2*beta-3)/d,
+        B = n**beta * (n**beta - 1),
+        C = 2**(-1/n**beta) * (Gamma(N+1) / Gamma(N - n**beta + 1))**(1/n**beta).
+
+    C/N tends to 1 for large n.  The evaluation runs at 192 bits because
+    1 + B - C cancels: at n = 64 it is about 1.3e10 while C is about 4.7e21,
+    and one unit in the last place of a float lgamma(N+1) is already 3.4e7.
+    """
+    alpha, gamma = derive_constants(beta)
+    with mpmath.workprec(192):
+        dd = mpmath.mpf(d)
+        nb = mpmath.mpf(n) ** beta
+        N = mpmath.mpf(n) ** (2 * beta)
+        arg_a = n - dd * mpmath.mpf(n) ** (3 - 2 * beta) + 1
+        e_a = mpmath.mpf(n) ** (2 * beta - 3) / dd
+        ln_quot_a = mpmath.loggamma(n + 1) - mpmath.loggamma(arg_a)
+        term_a = mpmath.exp(e_a * (ln_quot_a - mpmath.log(2)))
+        numerator = N ** (mpmath.mpf(1) / float(alpha)) * (1 + n - term_a)
+        ln_quot_c = mpmath.loggamma(N + 1) - mpmath.loggamma(N - nb + 1)
+        term_c = mpmath.exp((ln_quot_c - mpmath.log(2)) / nb)
+        value = numerator / (1 + nb * (nb - 1) - term_c)
+        scaled = value * mpmath.mpf(n) ** float(gamma)
+        return float(value), float(scaled), float(term_c / N)
+
 
 print("Sandwich max(0, mu_lower) <= m* <= mu_upper:")
 print("    N  good    m*   mu_lo   mu_up   Pr(Q_m*)")
@@ -57,5 +91,5 @@ print("\nGrowth quotient along n (beta=6, d=1): small-urn threshold over")
 print("large-urn draw count; the trend falls like a power of n:")
 print("      n        value   value*n^gamma   C/N")
 for n in (4, 8, 16, 32, 64):
-    qr = quotient_ratio(n, 1.0, 6)
-    print(f"  {n:>5}  {qr.value:11.3e}  {qr.scaled:13.3e}   {qr.term_c_over_n2beta:.5f}")
+    value, scaled, c_over_n = growth_quotient(n, 1.0, 6)
+    print(f"  {n:>5}  {value:11.3e}  {scaled:13.3e}   {c_over_n:.5f}")

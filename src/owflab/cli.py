@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance, bitsampler, languages, owf, threshold, turing
-from .errors import BudgetError, DegenerateParameters, TapeExhausted
+from .errors import BudgetError, TapeExhausted
 from .report import Table, render
 
 # (type, choices) of each flag.  argparse applies them to flags, and
@@ -180,6 +180,9 @@ def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
 
 
 def _cmd_verify_all(cfg: dict) -> tuple[dict, bool]:
+    # C7 runs the error experiment at --trials; refuse too few before C1.
+    if cfg["trials"] < owf.MIN_TRIALS:
+        raise ValueError(f"the error experiment needs trials >= {owf.MIN_TRIALS}")
     config = acceptance.VerifyConfig(
         seed=cfg["seed"],
         trials=cfg["trials"],
@@ -270,7 +273,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         fields, passed = COMMANDS[args.command].run(cfg)
         _write(cfg["out"], render(cfg.get("format", "json"), args.command, fields))
         return EXIT_OK if passed else EXIT_VIOLATIONS
-    except (BudgetError, DegenerateParameters, TapeExhausted, ValueError) as exc:
+    except (BudgetError, TapeExhausted, ValueError) as exc:
         print(f"owflab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -42,6 +42,8 @@ from .threshold import (
 )
 from .words import Word, goedel_inverse
 
+MIN_TRIALS = 1000  # the fewest trials per branch the error experiment runs
+
 
 @dataclass(frozen=True)
 class InstanceSet:
@@ -245,8 +247,8 @@ def sampling_error_experiment(
     from (seed, trial, branch), making aggregates independent of execution
     order.
     """
-    if trials < 1000:
-        raise ValueError("the error experiment needs trials >= 1000")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"the error experiment needs trials >= {MIN_TRIALS}")
     params = sampler_params(n, beta, alpha)
     _require_b1_feasible(params)
     N, m = params.N, params.m
@@ -379,6 +381,7 @@ __all__ = [
     "BijectivityReport",
     "InstanceSet",
     "InversionResult",
+    "MIN_TRIALS",
     "OwfOutput",
     "binary_search_invert",
     "compute_n",

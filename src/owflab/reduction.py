@@ -14,24 +14,21 @@ at least as dense as the language at corresponding points.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BudgetError, InvariantViolation
 from .languages import LanguageOracle
-from .words import Word, min_word, word_value
+from .words import Word, iroot, min_word, word_value
 
 
 def next_square_delta(x: int) -> int:
     """Distance from x to the smallest perfect square >= x (0 iff x is square)."""
     if x < 1:
         raise ValueError("defined for x >= 1")
-    root = math.isqrt(x)
-    if root * root == x:
-        return 0
-    return (root + 1) ** 2 - x
+    root, rem = iroot(x, 2)
+    return 0 if rem == 0 else (root + 1) ** 2 - x
 
 
 @dataclass(frozen=True)

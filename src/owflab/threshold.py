@@ -302,84 +302,11 @@ def bollobas_grid(n_max: int = 200) -> Iterator[BollobasVerdict]:
                     yield bollobas_check(N, good, theta, m_above, mstar=mstar)
 
 
-@dataclass(frozen=True)
-class QuotientRatio:
-    """Evaluation of the sampled-versus-threshold growth quotient
-
-        N**(1/alpha) * (1 + n - A)  /  (1 + B - C)
-
-    with N = n**(2*beta) and the terms
-
-        A = 2**(-e) * (Gamma(n+1) / Gamma(n - d*n**(3-2*beta) + 1))**e,
-            e = n**(2*beta-3)/d,
-        B = n**beta * (n**beta - 1),
-        C = 2**(-1/n**beta) * (Gamma(N+1) / Gamma(N - n**beta + 1))**(1/n**beta).
-
-    ``term_c_over_n2beta`` is C normalised by its natural scale N; that is
-    the quantity that tends to 1 for large n.  ``scaled`` multiplies the
-    quotient by n**gamma for trend reporting.
-    """
-
-    n: int
-    value: float
-    scaled: float
-    term_a: float
-    term_b: float
-    term_c: float
-    term_c_over_n2beta: float
-
-
-def quotient_ratio(n: int, d: float, beta: int) -> QuotientRatio:
-    """The quotient at alpha = derive_constants(beta)[0], evaluated with
-    mpmath at 192 bits of precision."""
-    # mpmath is imported here, by its only user, so that importing owflab
-    # does not load it.
-    import mpmath
-
-    if beta <= 2:
-        raise ValueError("the quotient is defined for beta > 2")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d <= 0:
-        raise ValueError("d must be positive")
-    alpha, gamma = derive_constants(beta)
-    with mpmath.workprec(192):
-        dd = mpmath.mpf(d)
-        nb = mpmath.mpf(n) ** beta
-        N = mpmath.mpf(n) ** (2 * beta)
-        arg_a = n - dd * mpmath.mpf(n) ** (3 - 2 * beta) + 1
-        if arg_a <= 0:
-            raise ValueError(
-                f"Gamma argument {float(arg_a)} <= 0 (d too large for this n)"
-            )
-        e_a = mpmath.mpf(n) ** (2 * beta - 3) / dd
-        ln_quot_a = mpmath.loggamma(n + 1) - mpmath.loggamma(arg_a)
-        term_a = mpmath.exp(e_a * (ln_quot_a - mpmath.log(2)))
-        numerator = N ** (mpmath.mpf(1) / float(alpha)) * (1 + n - term_a)
-        e_c = 1 / nb
-        ln_quot_c = mpmath.loggamma(N + 1) - mpmath.loggamma(N - nb + 1)
-        term_c = mpmath.exp(e_c * (ln_quot_c - mpmath.log(2)))
-        term_b = nb * (nb - 1)
-        denominator = 1 + term_b - term_c
-        value = numerator / denominator
-        scaled = value * mpmath.mpf(n) ** float(gamma)
-        return QuotientRatio(
-            n=n,
-            value=float(value),
-            scaled=float(scaled),
-            term_a=float(term_a),
-            term_b=float(term_b),
-            term_c=float(term_c),
-            term_c_over_n2beta=float(term_c / N),
-        )
-
-
 __all__ = [
     "ALPHA_TERM_LIMIT",
     "BollobasVerdict",
     "DEFAULT_ALPHA_SMALL_BETA",
     "MuBounds",
-    "QuotientRatio",
     "SamplerParams",
     "bollobas_check",
     "bollobas_grid",
@@ -388,7 +315,6 @@ __all__ = [
     "hit_probability",
     "mu_bounds",
     "mu_bounds_exact",
-    "quotient_ratio",
     "sampler_params",
     "sandwich_grid",
 ]

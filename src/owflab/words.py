@@ -9,8 +9,9 @@ bijection from words onto the positive integers (the prepended 1 keeps
 leading zeroes of the word from collapsing).
 
 ``iroot``, the exact integer r-th root, is the package's one root routine:
-the perfect-power oracles, the threshold sandwich and the draw count all
-reduce to it, and a float only seeds its search.
+the perfect-power oracles, the reduction's step to the next square, the
+threshold sandwich and the draw count all reduce to it, and a float only
+seeds its search.
 
 All functions are pure and use arbitrary-precision integers throughout.
 """

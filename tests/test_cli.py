@@ -204,7 +204,7 @@ def test_report_digests(tmp_path, args):
         (["density", "--ell", "30"], ["rows"]),
         (["threshold", "--n", "12"], ["sandwich", "bollobas_grid"]),
         (["census", "--ell", "6"], ["rows"]),
-        (["verify-all", "--trials", "50"], ["criteria"]),
+        (["verify-all", "--trials", "1000"], ["criteria"]),
     ],
 )
 def test_csv_and_json_carry_the_same_rows(tmp_path, monkeypatch, args, tables):
@@ -349,6 +349,17 @@ def test_oversized_alpha_is_usage_error(capsys):
     assert err.count("\n") == 1 and "above 100000" in err
 
 
+def test_verify_all_refuses_too_few_trials_before_any_criterion(tmp_path, capsys):
+    # C7's error experiment needs 1000 trials; verify-all says so before C1
+    # runs, so no criterion line is printed and no report is written.
+    out = tmp_path / "report.csv"
+    assert run_cli(["verify-all", "--trials", "999", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "PASS" not in err and "FAIL" not in err
+    assert err == "owflab: the error experiment needs trials >= 1000\n"
+    assert not out.exists()
+
+
 def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):
     assert run_cli(["owf", "--config", str(tmp_path / "absent.json")]) == 2
     cfg = tmp_path / "cfg.json"
@@ -428,7 +439,7 @@ class RecordingConfig(dict):
 TINY_RUNS = {
     "density": ["--ell", "10"],
     "threshold": ["--n", "6"],
-    "verify-all": ["--trials", "50"],
+    "verify-all": ["--trials", "1000"],
     "sample": ["--trials", "1000"],
     "owf": [],
     "census": ["--ell", "4"],

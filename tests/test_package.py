@@ -1,12 +1,10 @@
-"""Properties of the package as a whole: what importing it loads, that its
-declared public names exist and have callers, and that no import goes
-unused."""
+"""Properties of the package as a whole: that it imports only the standard
+library, that its declared public names exist and have callers, and that no
+import goes unused."""
 
 import ast
 import importlib
-import os
 import shutil
-import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -18,20 +16,30 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "owflab"
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath serves quotient_ratio alone; a command that does not call it
-    # should not pay for importing it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, owflab.cli; print('mpmath' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def _foreign_imports(path: Path) -> list[str]:
+    """The modules a source file imports from outside the standard library
+    and the owflab package; a relative import stays inside the package."""
+    foreign = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top != "owflab" and top not in sys.stdlib_module_names:
+                foreign.append(f"{path.name}:{node.lineno}: {module}")
+    return foreign
+
+
+def test_package_imports_only_the_standard_library():
+    # owflab declares no runtime dependency, so every import anywhere in a
+    # module, a function-level one included, is the standard library's or
+    # the package's own.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [entry for path in paths for entry in _foreign_imports(path)] == []
 
 
 @pytest.mark.parametrize("module", ["bitsampler", "owf", "threshold"])

@@ -1,8 +1,12 @@
+import io
 import math
 import random
+import runpy
+from contextlib import redirect_stdout
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,7 +26,6 @@ from owflab.threshold import (
     hit_probability,
     mu_bounds,
     mu_bounds_exact,
-    quotient_ratio,
     sampler_params,
     sandwich_grid,
 )
@@ -473,28 +476,33 @@ def test_sandwich_grid_against_the_exact_fractions():
         ), (N, good)
 
 
+@lru_cache(maxsize=None)
+def _growth_table():
+    # The growth quotient lives in its one caller, demos/threshold_bounds.py;
+    # these are the rows (n, value, value*n^gamma, C/N) that it prints.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(Path(__file__).parents[1] / "demos" / "threshold_bounds.py"))
+    lines = out.getvalue().splitlines()
+    table = lines[lines.index("      n        value   value*n^gamma   C/N") + 1 :]
+    rows = [tuple(float(cell) for cell in line.split()) for line in table]
+    assert [row[0] for row in rows] == [4, 8, 16, 32, 64]
+    return rows
+
+
 def test_quotient_ratio_decreases_along_sweep():
-    values = [quotient_ratio(n, 1.0, 6).value for n in (4, 8, 16, 32, 64)]
+    values = [row[1] for row in _growth_table()]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
 def test_quotient_ratio_term_c_scale():
-    qr = quotient_ratio(4, 1.0, 6)
     # The falling-factorial root sits at the urn scale N = n**(2*beta); its
     # ratio to N is the quantity that tends to 1.
-    assert 0.9 < qr.term_c_over_n2beta < 1.0001
-    assert qr.term_c == pytest.approx(qr.term_c_over_n2beta * 4**12)
-    assert qr.term_a == pytest.approx(0.0, abs=1e-30)
-    assert qr.term_b == 4096 * 4095
-
-
-def test_quotient_ratio_domain():
-    with pytest.raises(ValueError):
-        quotient_ratio(4, 1.0, 2)
-    with pytest.raises(ValueError):
-        quotient_ratio(1, 1.0, 6)
-    with pytest.raises(ValueError):
-        quotient_ratio(2, 25.0, 3)  # Gamma argument 2 - 25/8 + 1 <= 0
+    gamma = float(derive_constants(6)[1])
+    for n, value, scaled, c_over_n in _growth_table():
+        assert 0.9 < c_over_n <= 1.0001
+        # Both columns are printed to four significant digits.
+        assert scaled == pytest.approx(value * n**gamma, rel=2e-3)
 
 
 def test_monte_carlo_concordance():
