@@ -28,10 +28,11 @@ Every read is ``take(k)``, which slices k bits out of one window of the tape
 and returns them as an integer.  A literal tape's window is its whole
 string.  Because block i depends only on (seed, stream, i), a seeded tape
 holds (seed, stream, total) and a window of whole blocks; a read that runs
-past the window's end keeps the window's unread tail and hashes just the
-blocks after it, so each block is hashed once per tape.  ``skip(k)``
-advances the cursor past k bits without reading them, with the same bounds
-check as ``take``; either way every bit position is consumed at most once.
+past the window's end refills it: it keeps the window's unread tail and
+hashes just the blocks after it, so each block is hashed once per tape.
+``skip(k)`` advances the cursor past k bits without reading them, with the
+same bounds check as ``take``; either way every bit position is consumed at
+most once.
 
 A Fisher-Yates pass draws positions from ranges N, N-1, ..., 1, consuming
 exactly k bits per draw (the final size-1 draw included, so a permutation
@@ -40,7 +41,10 @@ only: it makes those m draws, finds each entry as the idx-th survivor of
 {1..N} with the earlier entries removed (an order statistic, found by a
 binary search over the sorted removed list, Knuth TAOCP 3.4.2), and skips
 the (N-m)*k bits the remaining draws would have read, so outputs and cursor
-match the full pass.  The construction's own budget is k = N**2 + 2 (profile
+match the full pass.  Before its draws, a selection refills the window once
+to cover all m*k bits they read, so a selection expands the seed at most
+once and hashes the same blocks, in the same order, as draw-by-draw refills
+would.  The construction's own budget is k = N**2 + 2 (profile
 name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps large
 experiments feasible at a correspondingly looser per-draw bias bound.
 """
@@ -108,8 +112,9 @@ class BitTape:
     ``take`` reads bits [cursor, cursor+k) from ``_window``, which holds the
     tape's bits from position ``_base`` on.  A literal tape's window is its
     whole string.  A seeded tape keeps (seed, stream, total) and a window
-    that ends on a block boundary; a read past its end refills it, so each
-    block is hashed once per tape."""
+    that ends on a block boundary; ``_refill`` extends it when a read runs
+    past its end (``fisher_yates`` calls it once for a whole selection), so
+    each block is hashed once per tape."""
 
     __slots__ = ("_seed", "_stream", "_total", "_cursor", "_window", "_base")
 
@@ -144,37 +149,46 @@ class BitTape:
     def remaining(self) -> int:
         return self._total - self._cursor
 
-    def _advance(self, k: int) -> int:
-        """Move the cursor k bits on and return where it was."""
+    def _advance(self, k: int) -> None:
+        """Move the cursor k bits on, or raise if k is negative or more than
+        the tape has left."""
         if k < 0:
             raise ValueError("cannot take a negative number of bits")
         if self.remaining() < k:
             raise TapeExhausted(
                 f"need {k} bits, tape has {self.remaining()} left"
             )
-        start = self._cursor
         self._cursor += k
-        return start
 
     def take(self, k: int) -> int:
         """Consume k bits and return them as an integer, MSB first."""
-        start = self._advance(k)
+        start = self._cursor
         end = start + k
-        window, base = self._window, self._base
-        if k and end > base + len(window):
-            # Only a seeded tape gets here: a literal window holds the whole
-            # tape, and a 0-bit read needs no block.  Keep the unread tail,
-            # hash the blocks from the first one not yet hashed (or the one
-            # holding start, past a skip) through the one holding the last
-            # bit read.
-            keep = window[start - base :]
-            fresh = max(base + len(window), start - start % 256)
-            window = keep + expand_seed_bits(
-                self._seed, -(-end // 256) * 256 - fresh, self._stream, fresh
-            )
-            base = fresh - len(keep)
-            self._window, self._base = window, base
-        return int(window[start - base : end - base] or "0", 2)
+        if k < 0 or end > self._total:
+            self._advance(k)  # raises the ValueError or TapeExhausted
+        if end > self._base + len(self._window) and k:
+            self._refill(end)
+        self._cursor = end
+        base = self._base
+        return int(self._window[start - base : end - base] or "0", 2)
+
+    def _refill(self, end: int) -> None:
+        """Make the window cover bits [cursor, end), a read of at least one
+        bit that fits the tape.
+
+        Only a seeded tape can need more: a literal window holds the whole
+        tape.  Keep the unread tail, hash the blocks from the first one not
+        yet hashed (or the one holding the cursor, past a skip) through the
+        one holding bit end - 1."""
+        start, window, base = self._cursor, self._window, self._base
+        if end <= base + len(window):
+            return
+        keep = window[start - base :]
+        fresh = max(base + len(window), start - start % 256)
+        self._window = keep + expand_seed_bits(
+            self._seed, -(-end // 256) * 256 - fresh, self._stream, fresh
+        )
+        self._base = fresh - len(keep)
 
     def skip(self, k: int) -> None:
         """Consume k bits without reading them."""
@@ -244,7 +258,8 @@ def fisher_yates(
     selection sampling: the j-th entry is drawn from the N-j remaining
     elements with one k-bit draw.  Consumes exactly N*k bits whatever m is,
     skipping the draws after the m-th; k defaults to the full budget
-    N**2 + 2."""
+    N**2 + 2.  The tape's window is refilled once, before the draws, to
+    cover the m*k bits they read."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if k is None:
@@ -258,6 +273,8 @@ def fisher_yates(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
+    if m * k > 0:
+        tape._refill(tape.cursor + m * k)  # one refill serves every draw below
     removed: list[int] = []  # the entries drawn so far, ascending
     out = []
     for j in range(m):

@@ -23,6 +23,7 @@ recovered with logarithmically many decisions by bisection.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -55,7 +56,10 @@ class InstanceSet:
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
             raise InvariantViolation(f"members {self.members} not sorted and distinct")
-        if not all(1 <= i <= self.urn_bound for i in self.members):
+        # Sorted, so the range check needs only the two ends.
+        if self.members and not (
+            1 <= self.members[0] and self.members[-1] <= self.urn_bound
+        ):
             raise InvariantViolation(
                 f"members {self.members} outside the urn [1, {self.urn_bound}]"
             )
@@ -76,8 +80,13 @@ class OwfOutput:
 
 
 def compute_n(ell: int, beta: int) -> int:
-    """Largest i with i**(6*beta) + 2*i**(2*beta) + i <= ell (payload size
-    whose tape budget fits into the remaining input bits)."""
+    """Largest i with i**(6*beta) + 2*i**(2*beta) + i <= ell.
+
+    With N = i**(2*beta), i**(6*beta) + 2*i**(2*beta) = N*(N**2 + 2) is the
+    tape cost of one b=0 round at the paper k, so this budgets the i payload
+    bits and a single round.  The evaluator runs i rounds, so under the paper
+    profile most inputs cannot cover them all; ``owf_evaluate`` checks each
+    round's cost exactly."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
     if ell < 4:
@@ -88,13 +97,33 @@ def compute_n(ell: int, beta: int) -> int:
     return i
 
 
+class _Round(NamedTuple):
+    """The constants of a sampler round at one (n, N, k profile)."""
+
+    k_urn: int  # bits per draw from the full urn of N
+    k_thinned: int  # bits per draw from the thinned urn of n
+    cost0: int  # tape cost of a b=0 round
+    cost1: int  # tape cost of a b=1 round
+
+    def cost(self, b: int) -> int:
+        return self.cost1 if b == 1 else self.cost0
+
+
+@functools.lru_cache(maxsize=256)
+def _round(n: int, N: int, k_profile: str) -> _Round:
+    """A round's two per-draw bit counts and its tape cost for each bit: one
+    Fisher-Yates pass over the urn of N, and for b=1 a second one over the
+    thinned urn of n.  Keyed on ints and the profile name, which hash fast;
+    a SamplerParams would hash its Fraction alpha on every lookup."""
+    k_urn, k_thinned = profile_k(k_profile, N), profile_k(k_profile, n)
+    cost0 = N * k_urn
+    return _Round(k_urn, k_thinned, cost0, cost0 + n * k_thinned)
+
+
 def round_consumption(b: int, params: SamplerParams, k_profile: str) -> int:
-    """Exact tape cost of one sampler round for bit b."""
-    n, N = params.n, params.N
-    cost = N * profile_k(k_profile, N)
-    if b == 1:
-        cost += n * profile_k(k_profile, n)
-    return cost
+    """Exact tape cost of one sampler round for bit b: N draws of k(N) bits,
+    plus n draws of k(n) bits when b = 1."""
+    return _round(params.n, params.N, k_profile).cost(b)
 
 
 def _require_b1_feasible(params: SamplerParams) -> None:
@@ -117,7 +146,8 @@ def _ptsamp_traced(
     if params.n != n:
         raise ValueError("params were built for a different base size")
     N, m = params.N, params.m
-    need = round_consumption(b, params, k_profile)
+    rnd = _round(n, N, k_profile)
+    need = rnd.cost(b)
     if tape.remaining() < need:
         raise TapeExhausted(
             f"branch b={b} needs {need} bits, tape has {tape.remaining()}"
@@ -125,11 +155,11 @@ def _ptsamp_traced(
     full_urn = range(1, N + 1)
     if b == 1:
         _require_b1_feasible(params)
-        urn = select_subset(tape, n, full_urn, profile_k(k_profile, N))
-        picked = select_subset(tape, m, urn, profile_k(k_profile, n))
+        urn = select_subset(tape, n, full_urn, rnd.k_urn)
+        picked = select_subset(tape, m, urn, rnd.k_thinned)
     else:
         urn = full_urn
-        picked = select_subset(tape, m, full_urn, profile_k(k_profile, N))
+        picked = select_subset(tape, m, full_urn, rnd.k_urn)
     return InstanceSet(picked, N), tape, urn
 
 
@@ -155,19 +185,21 @@ def owf_evaluate(
     """Evaluate the bit encoder on input word w = payload || tape.
 
     Deterministic in w.  Raises TapeExhausted with the number of completable
-    rounds when the tape budget implied by the payload split cannot cover all
-    n rounds (the b=1 branch costs more than the n(ell) formula accounts
-    for, so feasibility is checked exactly per run).
+    rounds (``feasible_rounds``) when the tape cannot cover all n rounds.
+    ``compute_n`` budgets the tape of one b=0 round at the paper k, N*k(N)
+    bits, but the evaluator runs n rounds; a b=1 round adds only n*k(n)
+    bits to that.  So feasibility is checked exactly, before each round.
     """
     ell = len(w)
     n = compute_n(ell, beta)
     params = sampler_params(n, beta, alpha)
     tape = BitTape(w)  # refuses a word with any character other than 0/1
     payload = tape.take(n)
+    rnd = _round(n, params.N, k_profile)
     sets = []
     for i in range(n):
         b = payload >> (n - 1 - i) & 1
-        if tape.remaining() < round_consumption(b, params, k_profile):
+        if tape.remaining() < rnd.cost(b):
             exc = TapeExhausted(
                 f"round {i + 1} of {n} (b={b}) would overrun the tape; "
                 f"{i} rounds are feasible for this input"

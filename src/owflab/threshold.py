@@ -27,6 +27,7 @@ alpha = 4*beta/(beta-2) + 2*beta auto-derived for beta > 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -198,11 +199,17 @@ class SamplerParams:
         return self.m <= self.n
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def sampler_params(
     n: int, beta: int, alpha: Fraction | int | None = None
 ) -> SamplerParams:
     """Build SamplerParams; alpha is auto-derived for beta > 2 and must
-    otherwise come from the caller (or the documented default of 8)."""
+    otherwise come from the caller (or the documented default of 8).
+
+    Memoized: the result is a frozen value of the arguments alone, and an
+    evaluation or a sampling experiment asks for the same cell again and
+    again.  The cache is typed, so 2.0 does not find the entry of 2 and is
+    refused as before; an argument that raises is never cached."""
     if n < 1:
         raise ValueError("base size n must be >= 1")
     if beta < 1:

@@ -8,10 +8,12 @@ prepending a 1 and reading the result in binary, which makes the numbering a
 bijection from words onto the positive integers (the prepended 1 keeps
 leading zeroes of the word from collapsing).
 
-``iroot``, the exact integer r-th root, is the package's one root routine:
-the perfect-power oracles, the reduction's step to the next square, the
+``iroot``, the exact integer r-th root, is the package's root routine: the
+perfect-power oracles, the reduction's step to the next square, the
 threshold sandwich and the draw count all reduce to it, and a float only
-seeds its search.
+seeds its search.  One caller keeps ``math.isqrt``: the square decider of
+verify-all's C10, which runs about 41 000 times per verification and would
+pay about 0.1 microseconds more per call for ``iroot``'s tuple.
 
 All functions are pure and use arbitrary-precision integers throughout.
 """

@@ -371,6 +371,64 @@ def test_seeded_tape_hashes_each_block_once(monkeypatch):
 
 
 @st.composite
+def seeded_selections(draw):
+    """(N, k, m, lead, lead_op, extra, seed): a selection that follows a
+    lead-bit take or skip on a tape of lead + N*k + extra bits.  A lead
+    that is not a multiple of 256 starts the selection mid-block, and a
+    negative extra leaves the tape too short for it."""
+    N = draw(st.integers(1, 30))
+    k, m = draw(st.integers(1, 300)), draw(st.integers(0, N))
+    lead, lead_op = draw(st.integers(0, 1000)), draw(st.sampled_from(["take", "skip"]))
+    extra = draw(st.integers(-N * k, 600))
+    return N, k, m, lead, lead_op, extra, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seeded_selections())
+@example((3, 100, 2, 300, "skip", 0, 5))  # starts mid-block after a skip
+@example((7, 40, 0, 130, "take", 9, 5))  # m = 0: no draw, no block
+@example((5, 77, 5, 0, "take", 3, 5))  # the tape's total ends mid-block
+@example((4, 64, 2, 256, "skip", -1, 5))  # one bit short: refused
+def test_a_selection_refills_a_seeded_tape_once(case):
+    N, k, m, lead, lead_op, extra, seed = case
+    total = lead + N * k + extra
+    blocks, expansions = [], []
+    real_sha256, real_expand = hashlib.sha256, bitsampler.expand_seed_bits
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            blocks.append(int.from_bytes(data[16:], "big"))
+            return real_sha256(data)
+
+    def counting_expand(*args, **kwargs):
+        expansions.append(args)
+        return real_expand(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitsampler, "hashlib", CountingHashlib)
+        mp.setattr(bitsampler, "expand_seed_bits", counting_expand)
+        tape = BitTape.from_seed(seed, total)
+        getattr(tape, lead_op)(lead)
+        hashed_before = set(blocks)
+        del blocks[:], expansions[:]
+        if extra < 0:
+            with pytest.raises(TapeExhausted):
+                fisher_yates(tape, N, k, m)
+            assert (blocks, expansions, tape.cursor) == ([], [], lead)
+            return
+        out = fisher_yates(tape, N, k, m)
+    end = lead + m * k
+    span = range(lead // 256, -(-end // 256)) if m else range(0)
+    assert blocks == [b for b in span if b not in hashed_before]
+    assert len(expansions) <= 1
+    reference = BitTape.from_seed(seed, total)
+    reference.skip(lead)
+    assert out == list_pop_fisher_yates(reference, N, k)[:m]
+    assert tape.cursor == reference.cursor == lead + N * k
+
+
+@st.composite
 def partial_passes(draw):
     N = draw(st.integers(1, 40))
     k, m = draw(st.integers(1, 24)), draw(st.integers(0, N))

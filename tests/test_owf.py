@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from owflab import owf
 from owflab.bitsampler import BitTape, expand_seed_bits
 from owflab.errors import (
     DegenerateParameters,
@@ -129,6 +130,27 @@ def test_owf_frozen_vector():
     assert [s.members for s in out.sets] == [(4,), (3,)]
     assert out.bits_consumed == 156  # 72 for b=0 plus 84 for b=1
     assert out.params.N == 4 and out.params.m == 1
+
+
+def test_owf_evaluate_is_the_same_from_a_cold_and_a_warm_cache():
+    calls = [
+        (expand_seed_bits(99, 600), 1, "paper", 8),
+        ("1" + expand_seed_bits(4, 19_999), 2, "paper", 8),
+        (expand_seed_bits(5, 3000), 1, "practical", 8),
+        (expand_seed_bits(6, 5000), 3, "practical", None),
+    ]
+
+    def evaluate_all():
+        return [owf_evaluate(w, beta, profile, alpha) for w, beta, profile, alpha in calls]
+
+    sampler_params.cache_clear()
+    owf._round.cache_clear()
+    cold = evaluate_all()
+    assert evaluate_all() == cold
+    assert owf._round.cache_info().hits > 0
+    sampler_params.cache_clear()
+    owf._round.cache_clear()
+    assert evaluate_all() == cold
 
 
 def test_owf_equal_lengths_give_equal_shapes():

@@ -291,6 +291,44 @@ def test_sampler_params_fields():
         sampler_params(2, 2, alpha=1)
 
 
+SAMPLER_CELLS = [
+    (2, 2, 8),
+    (6, 2, 8),
+    (3, 1, Fraction(9, 2)),
+    (2, 3, None),
+    (4, 2, Fraction(100_000, 7)),
+]
+
+
+def test_sampler_params_is_the_same_from_a_cold_and_a_warm_cache():
+    sampler_params.cache_clear()
+    cold = [sampler_params(*cell) for cell in SAMPLER_CELLS]
+    assert sampler_params.cache_info().hits == 0
+    warm = [sampler_params(*cell) for cell in SAMPLER_CELLS]
+    assert sampler_params.cache_info().hits == len(SAMPLER_CELLS)
+    assert warm == cold
+    sampler_params.cache_clear()
+    assert [sampler_params(*cell) for cell in SAMPLER_CELLS] == cold
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((0, 2, 8), ValueError),
+        ((2, 0, 8), ValueError),
+        ((2, 2, 1), ValueError),
+        ((2, 2, Fraction(100_001)), ValueError),
+        ((2.0, 2, 8), TypeError),  # equal to the cached (2, 2, 8) but a float
+        ((2, 2.0, 8), TypeError),
+    ],
+)
+def test_sampler_params_refuses_bad_arguments_on_every_call(args, error):
+    sampler_params(2, 2, 8)
+    for _ in range(3):
+        with pytest.raises(error):
+            sampler_params(*args)
+
+
 def test_sampler_params_bounds_the_size_of_alpha():
     # The exact step raises integers to alpha's numerator and denominator;
     # past the limit of 10**5 the cost would grow without bound.
