@@ -235,16 +235,13 @@ def _criterion_12(config: VerifyConfig) -> tuple[bool, str]:
     off_squares = sum(not languages.SQ.member(phi.image) for phi in images)
     values = [phi.value for phi in images]
     unordered = sum(a >= b for a, b in zip(values, values[1:]))
-    diagonal = languages.LanguageOracle(
-        "diagonal", turing.diagonal_member, 1, None, 1
-    )
     # At a minimal threshold the two counts are equal by construction, since
     # phi is increasing on minimal words.  A threshold zero-padded to 12 bits
     # ranks above every shorter member, so there the image count runs ahead.
     minimal = [words.min_word(v) for v in range(16, 2**12 + 1, 16)]
     padded = [format(v, "012b") for v in range(16, 2**11, 16)]
     report = reduction.density_transfer_check(
-        diagonal, code, lam, 2**12, minimal + padded
+        turing.diagonal_member, code, lam, 2**12, minimal + padded
     )
     violations = len(report.violations)
     ahead = sum(p.source_count < p.image_count for p in report.points)

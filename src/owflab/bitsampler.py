@@ -149,23 +149,12 @@ class BitTape:
     def remaining(self) -> int:
         return self._total - self._cursor
 
-    def _advance(self, k: int) -> None:
-        """Move the cursor k bits on, or raise if k is negative or more than
-        the tape has left."""
-        if k < 0:
-            raise ValueError("cannot take a negative number of bits")
-        if self.remaining() < k:
-            raise TapeExhausted(
-                f"need {k} bits, tape has {self.remaining()} left"
-            )
-        self._cursor += k
-
     def take(self, k: int) -> int:
         """Consume k bits and return them as an integer, MSB first."""
         start = self._cursor
         end = start + k
         if k < 0 or end > self._total:
-            self._advance(k)  # raises the ValueError or TapeExhausted
+            self.skip(k)  # raises the ValueError or TapeExhausted
         if end > self._base + len(self._window) and k:
             self._refill(end)
         self._cursor = end
@@ -191,8 +180,14 @@ class BitTape:
         self._base = fresh - len(keep)
 
     def skip(self, k: int) -> None:
-        """Consume k bits without reading them."""
-        self._advance(k)
+        """Consume k bits without reading them, or raise if k is negative or
+        more than the tape has left."""
+        if k < 0:
+            raise ValueError("cannot take a negative number of bits")
+        left = self._total - self._cursor
+        if left < k:
+            raise TapeExhausted(f"need {k} bits, tape has {left} left")
+        self._cursor += k
 
     def __repr__(self) -> str:
         return f"BitTape(total={self.total}, cursor={self._cursor})"

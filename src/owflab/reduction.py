@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import BudgetError, InvariantViolation
-from .languages import LanguageOracle
 from .words import Word, iroot, min_word, word_value
 
 
@@ -110,7 +109,7 @@ class TransferReport:
 
 
 def density_transfer_check(
-    oracle: LanguageOracle,
+    member: Callable[[Word], bool],
     code: Word,
     lam: int,
     limit: int,
@@ -121,8 +120,9 @@ def density_transfer_check(
 
     For every threshold word w, the number of member values v <= (w)_2 must
     not exceed the number of image values phi(v') <= phi(w) over members v'.
-    Members are enumerated in minimal binary form up to ``limit``, after
-    every threshold is checked to be a bit string of value in [1, limit].
+    ``member`` decides the language.  Members are enumerated in minimal
+    binary form up to ``limit``, after every threshold is checked to be a
+    bit string of value in [1, limit].
     """
     if limit > TRANSFER_BUDGET:
         raise BudgetError(
@@ -133,7 +133,7 @@ def density_transfer_check(
     if not all(1 <= wv <= limit for wv in values):
         raise ValueError("thresholds must have value in [1, limit]")
     member_values = [
-        y for y in range(1, limit + 1) if oracle.member(min_word(y))
+        y for y in range(1, limit + 1) if member(min_word(y))
     ]
     # member_values is increasing; the images are sorted rather than assumed
     # to keep that order, so the image count does not take phi's order on trust.

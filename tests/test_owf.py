@@ -15,7 +15,13 @@ from owflab.errors import (
     InvariantViolation,
     TapeExhausted,
 )
-from owflab.languages import SQ, density_scan, power_oracle
+from owflab.languages import (
+    SQ,
+    density_scan,
+    empty_oracle,
+    power_oracle,
+    sigma_star_oracle,
+)
 from owflab.owf import (
     InstanceSet,
     _check_monotone,
@@ -242,8 +248,7 @@ def test_experiment_report_consistency():
     )
     assert rep.N == 16 and rep.m == 1 and rep.good_count == 2
     assert rep.exact0 == pytest.approx(2 / 16)
-    assert rep.criterion_value == pytest.approx(rep.miss0 + rep.miss1)
-    assert rep.e_ell_frequency == pytest.approx(1 - rep.criterion_value / 2)
+    assert rep.criterion_value == rep.miss0 + rep.miss1
     assert abs(rep.z0) <= 5 and abs(rep.z1) <= 5
     assert rep.bits_consumed == 1000 * (
         round_consumption(0, sampler_params(2, 2, alpha=8), "practical")
@@ -251,10 +256,10 @@ def test_experiment_report_consistency():
     )
     payload = rep.to_json_dict()
     assert payload["params"]["N"] == 16
-    assert set(payload) >= {
-        "miss0", "miss1", "exact0", "exact1", "criterion_value",
-        "e_ell_frequency", "bits_consumed",
-    }
+    assert list(payload) == [
+        "params", "miss0", "miss1", "exact0", "exact1", "z0", "z1",
+        "criterion_value", "bits_consumed",
+    ]
 
 
 def test_experiment_is_seed_deterministic():
@@ -264,15 +269,32 @@ def test_experiment_is_seed_deterministic():
 
 
 def test_e_ell_trend_nondecreasing_within_ci():
-    # With m pinned at 1 the correct-mapping rate concentrates at 1/2 for
-    # every n, so the trend must be flat-or-rising beyond CI noise.
+    # The correct-mapping rate e_ell = 1 - criterion_value / 2 concentrates
+    # at 1/2 for every n, since the criterion value has expectation 1, so
+    # the trend must be flat-or-rising beyond CI noise:
+    # e_ell_b >= e_ell_a - (ca + cb), that is c_b <= c_a + 2 * (ca + cb).
     reps = [
         sampling_error_experiment(n, 2, power_oracle(2), 2000, 1000 + n, alpha=8)
         for n in (2, 3, 4)
     ]
     cis = [4 * math.sqrt(0.25 / r.trials) for r in reps]
     for (a, b), (ca, cb) in zip(zip(reps, reps[1:]), zip(cis, cis[1:])):
-        assert b.e_ell_frequency >= a.e_ell_frequency - (ca + cb)
+        assert b.criterion_value <= a.criterion_value + 2 * (ca + cb)
+
+
+@pytest.mark.parametrize("oracle", [empty_oracle(), sigma_star_oracle()])
+def test_experiment_z_scores_are_zero_at_zero_variance(oracle):
+    # With no member, or every word a member, each branch's outcome is
+    # certain: exact0 is 0 or 1, every exact1 term is 1 or 0, and a z-score
+    # of an outcome that matched its certain expectation is 0.
+    rep = sampling_error_experiment(2, 2, oracle, 1000, 5, alpha=8)
+    assert rep.exact0 in (0.0, 1.0) and rep.exact1 == 1.0 - rep.exact0
+    assert rep.miss0 == rep.exact0 and rep.miss1 == rep.exact1
+    assert rep.z0 == rep.z1 == 0.0
+
+
+def test_z_score_is_infinite_when_a_certain_outcome_fails():
+    assert owf._z_score(3, 2, 0.0) == math.inf
 
 
 def test_binary_search_invert_examples():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -115,26 +114,26 @@ def test_reduce_phi_injective_on_random_pairs():
 def test_density_transfer_for_squares():
     rng = random.Random(31)
     thresholds = [min_word(rng.randrange(1, 2**16)) for _ in range(100)]
-    report = density_transfer_check(SQ, CODE, 3, 2**16, thresholds)
+    report = density_transfer_check(SQ.member, CODE, 3, 2**16, thresholds)
     assert not report.violations
 
 
 def test_density_transfer_empty_language():
-    report = density_transfer_check(empty_oracle(), CODE, 3, 2**10, ["1", "101"])
+    report = density_transfer_check(
+        empty_oracle().member, CODE, 3, 2**10, ["1", "101"]
+    )
     assert all(p.source_count == 0 and p.image_count == 0 for p in report.points)
 
 
 def test_density_transfer_strict_somewhere_for_short_full_language():
     # All words of length <= 8 in minimal form; padded thresholds make the
     # image count strictly exceed the source count.
-    from owflab.languages import LanguageOracle
+    def member(w):
+        return bool(w) and w[0] == "1" and len(w) <= 8
 
-    oracle = LanguageOracle(
-        "len<=8", lambda w: bool(w) and w[0] == "1" and len(w) <= 8, 1, None, 1
-    )
     thresholds = [min_word(y) for y in range(1, 64)]
     thresholds += ["0001", "00101", "011"]
-    report = density_transfer_check(oracle, CODE, 3, 255, thresholds)
+    report = density_transfer_check(member, CODE, 3, 255, thresholds)
     assert not report.violations
     assert any(p.source_count < p.image_count for p in report.points)
 
@@ -146,6 +145,5 @@ def test_density_transfer_refuses_bad_thresholds_before_the_member_scan(threshol
     def member(word):
         raise AssertionError("member called")
 
-    oracle = dataclasses.replace(SQ, member=member)
     with pytest.raises(ValueError):
-        density_transfer_check(oracle, CODE, 3, 255, ["1", threshold])
+        density_transfer_check(member, CODE, 3, 255, ["1", threshold])
