@@ -31,9 +31,8 @@ for length, count, classes in census_csv_rows(10):
 
 print("\nThe first escapees: at length 17 the header '00000' + nothing else")
 w = embed_code("0000", 17)
-prog = decode_program(w)
 print(f"  word {w!r}")
-print(f"  decodes to accept-immediately: {simulate(prog.spec, w, 10)}")
+print(f"  decodes to accept-immediately: {simulate(decode_program(w), w, 10)}")
 print(f"  diagonal member? {diagonal_member(w)}")
 
 print("\nA right-scanning machine needs a 25-bit code, hence giant words:")
@@ -42,4 +41,4 @@ print(f"  on input '111' with budget 5: {simulate(scanner, '111', 5)}")
 code = encode_spec(scanner)
 w = embed_code(code, 2**25 + 1)
 print(f"  embedded in a word of length {len(w)}: decodes back? "
-      f"{decode_program(w).spec == scanner}")
+      f"{decode_program(w) == scanner}")

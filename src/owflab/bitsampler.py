@@ -22,7 +22,10 @@ integers as floor(r_num * R / 2**k).  Each output index then deviates from
     count(i) = ceil(2**k * (i+1) / R) - ceil(2**k * i / R),
 
 which is what the exact bias and permutation distributions below use instead
-of enumerating all 2**k tapes.
+of enumerating all 2**k tapes.  ``bias_profile`` gives the counts of one
+draw and its largest deviation from 1/R; ``permutation_distribution`` gives
+every sequence's probability and whether the least of them meets the floor
+(1 - 2**-N)**N / N! that the construction's k = N**2 + 2 guarantees.
 
 Every read is ``take(k)``, which slices k bits out of one window of the tape
 and returns them as an integer.  A literal tape's window is its whole
@@ -213,11 +216,8 @@ def _interval_counts(range_size: int, k: int) -> tuple[int, ...]:
 
 
 class BiasProfile(NamedTuple):
-    k: int
-    range_size: int
-    counts: tuple[int, ...]
-    probabilities: tuple[Fraction, ...]
-    max_deviation: Fraction
+    counts: tuple[int, ...]  # index i is drawn with probability counts[i] / 2**k
+    max_deviation: Fraction  # max |counts[i] / 2**k - 1/range|
     bound: Fraction  # 2**(-k+1)
     within_bound: bool
 
@@ -226,20 +226,16 @@ def bias_profile(k: int, range_size: int) -> BiasProfile:
     """Exact per-index output counts over all 2**k tapes, with the deviation
     bound |count/2**k - 1/range| <= 2**(-k+1) checked as the integer
     comparison max |count*range - 2**k| <= 2*range.  The counts take at most
-    two values, so one Fraction per distinct count serves every index."""
+    two values, so the deviation is the larger of at most two terms."""
     if k > BIAS_PROFILE_MAX_K:
         raise BudgetError(f"bias profile limited to k <= {BIAS_PROFILE_MAX_K}")
     if k < 1 or range_size < 1:
         raise ValueError("need k >= 1 and range_size >= 1")
     two_k = 1 << k
     counts = _interval_counts(range_size, k)
-    probability = {c: Fraction(c, two_k) for c in set(counts)}
-    dev = max(abs(c * range_size - two_k) for c in probability)
+    dev = max(abs(c * range_size - two_k) for c in set(counts))
     return BiasProfile(
-        k,
-        range_size,
         counts,
-        tuple(probability[c] for c in counts),
         Fraction(dev, range_size * two_k),
         Fraction(2, two_k),
         dev <= 2 * range_size,
@@ -309,14 +305,10 @@ def select_subset(
 
 
 class PermutationDistribution(NamedTuple):
-    N: int
-    k: int
     probabilities: dict  # sequence tuple -> exact Fraction
-    min_probability: Fraction
     uniform: Fraction  # 1/N!
     lower_bound: Fraction  # (1 - 2**-N)**N / N!
-    bound_applies: bool  # k >= N**2 + 2
-    within_bound: bool
+    within_bound: bool  # all >= lower_bound at k >= N**2 + 2, else all > 0
 
 
 def _prefix_law(N: int, m: int, k: int) -> dict[tuple[int, ...], Fraction]:
@@ -345,22 +337,15 @@ def _prefix_law(N: int, m: int, k: int) -> dict[tuple[int, ...], Fraction]:
 
 def permutation_distribution(N: int, k: int) -> PermutationDistribution:
     """Exact probability of every draw sequence, composed from per-step
-    interval counts (no tape enumeration needed)."""
+    interval counts (no tape enumeration needed).  The floor lower_bound is
+    only claimed at the construction's budget k >= N**2 + 2; below it,
+    ``within_bound`` asks only that every sequence be possible."""
     probs = _prefix_law(N, N, k)
     uniform = Fraction(1, math.factorial(N))
     lower = Fraction((2**N - 1) ** N, 2 ** (N * N)) * uniform
     min_p = min(probs.values())
-    applies = k >= paper_k(N)
-    return PermutationDistribution(
-        N=N,
-        k=k,
-        probabilities=probs,
-        min_probability=min_p,
-        uniform=uniform,
-        lower_bound=lower,
-        bound_applies=applies,
-        within_bound=(min_p >= lower) if applies else min_p > 0,
-    )
+    within = min_p >= lower if k >= paper_k(N) else min_p > 0
+    return PermutationDistribution(probs, uniform, lower, within)
 
 
 def subset_distribution(N: int, m: int, k: int) -> dict[frozenset, Fraction]:

@@ -199,16 +199,21 @@ def _cmd_verify_all(cfg: dict) -> tuple[dict, bool]:
 
 def _cmd_sample(cfg: dict) -> tuple[dict, bool]:
     oracle = _resolve_oracle(cfg["oracle"])
+    alpha = _parse_alpha(cfg["alpha"])
     report = owf.sampling_error_experiment(
         cfg["n"],
         cfg["beta"],
         oracle,
         cfg["trials"],
         cfg["seed"],
-        alpha=_parse_alpha(cfg["alpha"]),
+        alpha=alpha,
         k_profile=cfg["k_profile"],
     )
-    return report.to_json_dict(), True
+    fields = report.to_json_dict()
+    # The alpha that ran, derived from beta when the flag is left out.
+    ran = threshold.sampler_params(cfg["n"], cfg["beta"], alpha).alpha
+    fields["params"].update(seed=cfg["seed"], oracle=cfg["oracle"], alpha=str(ran))
+    return fields, True
 
 
 def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
@@ -220,6 +225,9 @@ def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
     return {
         "ell": ell,
         "beta": cfg["beta"],
+        "alpha": str(out.params.alpha),
+        "k_profile": cfg["k_profile"],
+        "seed": cfg["seed"],
         "n": out.n,
         "N": out.params.N,
         "m": out.params.m,

@@ -224,7 +224,9 @@ def hit_test(instance: InstanceSet, oracle: LanguageOracle) -> bool:
 @dataclass(frozen=True)
 class BijectivityReport:
     """Measured sampling-error rates against their exact hypergeometric
-    values, and their sum, the pairwise-collision criterion."""
+    values, and their sum, the pairwise-collision criterion.  The tape bits
+    a run reads are not recorded: they are ``trials`` times the two round
+    costs of ``round_consumption``, fixed by the inputs."""
 
     n: int
     beta: int
@@ -237,7 +239,6 @@ class BijectivityReport:
     z0: float
     z1: float
     criterion_value: float  # miss0 + miss1; its expectation is exactly 1
-    bits_consumed: int
     m: int
     N: int
     good_count: int
@@ -324,7 +325,6 @@ def sampling_error_experiment(
         z0=z0,
         z1=z1,
         criterion_value=miss0 + miss1,
-        bits_consumed=trials * (need0 + need1),  # each trial reads both tapes whole
         m=m,
         N=N,
         good_count=good,

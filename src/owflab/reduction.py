@@ -32,14 +32,11 @@ def next_square_delta(x: int) -> int:
 
 @dataclass(frozen=True)
 class PhiImage:
-    """Image of the block reduction, with recorded block boundaries."""
+    """Image of the block reduction: ``image`` is code || source || trailer,
+    and the source and code lengths locate the blocks."""
 
     source: Word
     code: Word
-    lam: int
-    k: int
-    nu: int
-    delta: int
     image: Word
 
     @property
@@ -77,9 +74,7 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
             f"trailer has only {nu}; use a longer code or larger lambda"
         )
     image = format(base + delta, f"0{total}b")
-    result = PhiImage(
-        source=w, code=code, lam=lam, k=k, nu=nu, delta=delta, image=image
-    )
+    result = PhiImage(source=w, code=code, image=image)
     if result.code_block != code or result.source_block != w:
         raise InvariantViolation(f"blocks of {image!r} do not recover code and w")
     return result

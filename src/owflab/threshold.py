@@ -245,7 +245,6 @@ class BollobasVerdict(NamedTuple):
     good: int
     theta: Fraction
     m: int
-    mstar: int
     regime: str  # "below" | "above" | "between"
     holds: bool | None  # None in the between-regimes gap
     pr: Fraction
@@ -268,6 +267,7 @@ def bollobas_check(
     is miss**a * 2**b >= total**a and the second is miss**b * 2**a <= total**b.
     The check raises integers to a and b, so theta's numerator and
     denominator may not exceed ALPHA_TERM_LIMIT, the bound on alpha's.
+    A caller that already has m*(N, good) passes it as ``mstar``.
     """
     theta = Fraction(theta)
     a, b = theta.numerator, theta.denominator
@@ -292,7 +292,7 @@ def bollobas_check(
     else:
         holds = None
         regime = "between"
-    return BollobasVerdict(N, good, theta, m, mstar, regime, holds, pr)
+    return BollobasVerdict(N, good, theta, m, regime, holds, pr)
 
 
 def bollobas_grid(n_max: int = 200) -> Iterator[BollobasVerdict]:

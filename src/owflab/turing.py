@@ -76,14 +76,6 @@ class TMSpec:
 CANONICAL_REJECT = TMSpec(n_work=0, rows=(), start_state=REJECT)
 
 
-@dataclass(frozen=True)
-class PaddedProgram:
-    source: Word
-    header: Word
-    code: Word | None  # None when the header had no valid code
-    spec: TMSpec
-
-
 class SimResult(NamedTuple):
     outcome: str  # "accept" | "reject" | "timeout"
     steps: int
@@ -123,8 +115,9 @@ def parse_code(code: Word) -> TMSpec | None:
     return TMSpec(n_work=n_work, rows=tuple(rows), start_state=start)
 
 
-def decode_program(w: Word) -> PaddedProgram:
-    """Decode a word: header = top ceil(log2 len) bits, strip 1*0, parse.
+def decode_program(w: Word) -> TMSpec:
+    """The machine a word denotes: header = top ceil(log2 len) bits, strip
+    1*0, parse.
 
     Total by construction: invalid material yields the canonical reject
     machine, so every word denotes some machine.
@@ -132,12 +125,8 @@ def decode_program(w: Word) -> PaddedProgram:
     header = w[: header_length(len(w))]
     zero_at = header.find("0")
     if zero_at < 0:  # all ones, or the empty header at length 1
-        return PaddedProgram(w, header, None, CANONICAL_REJECT)
-    code = header[zero_at + 1 :]
-    spec = parse_code(code)
-    if spec is None:
-        return PaddedProgram(w, header, None, CANONICAL_REJECT)
-    return PaddedProgram(w, header, code, spec)
+        return CANONICAL_REJECT
+    return parse_code(header[zero_at + 1 :]) or CANONICAL_REJECT
 
 
 def encode_spec(spec: TMSpec) -> Word:
@@ -212,8 +201,7 @@ def diagonal_member(w: Word) -> bool:
             f"length {length} exceeds the toy-scale guard "
             f"{DIAGONAL_LENGTH_GUARD} (T grows as 2**length)"
         )
-    spec = decode_program(w).spec
-    outcome, _ = simulate(spec, w, 2**length)
+    outcome, _ = simulate(decode_program(w), w, 2**length)
     return outcome == "reject"
 
 

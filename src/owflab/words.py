@@ -25,13 +25,6 @@ import math
 Word = str
 GoedelIndex = int
 
-_BITS = frozenset("01")
-
-
-def _check_word(w: str) -> None:
-    if not _BITS.issuperset(w):
-        raise ValueError(f"not a bit string: {w!r}")
-
 
 def word_value(w: Word) -> int:
     """Binary value of a word, most significant bit first.
@@ -43,8 +36,15 @@ def word_value(w: Word) -> int:
     >>> word_value("1000")
     8
     """
-    _check_word(w)
-    return int(w, 2) if w else 0
+    # goedel_number's check, written out: both are hot leaves, and a shared
+    # helper would add a call to each.
+    try:
+        marked = int("1" + w, 2) if str.isascii(w) else 0
+    except ValueError:
+        marked = 0
+    if marked.bit_length() != len(w) + 1:
+        raise ValueError(f"not a bit string: {w!r}")
+    return marked ^ (1 << len(w))
 
 
 def goedel_number(w: Word) -> GoedelIndex:
@@ -57,8 +57,17 @@ def goedel_number(w: Word) -> GoedelIndex:
     >>> goedel_number("101")
     13
     """
-    _check_word(w)
-    return int("1" + w, 2)
+    # int() also reads "_" between digits, surrounding whitespace and
+    # non-ASCII digits, but each of those leaves fewer digits than
+    # characters: an ASCII w is a bit string exactly when "1" + w parses to
+    # len(w) + 1 bits.  str.isascii raises TypeError for a non-string.
+    try:
+        n = int("1" + w, 2) if str.isascii(w) else 0
+    except ValueError:
+        n = 0
+    if n.bit_length() != len(w) + 1:
+        raise ValueError(f"not a bit string: {w!r}")
+    return n
 
 
 def goedel_inverse(n: GoedelIndex) -> Word:

@@ -272,7 +272,10 @@ SAMPLE_N2 = """\
     "m": 1,
     "good_count": 2,
     "trials": 1000,
-    "k_profile": "practical"
+    "k_profile": "practical",
+    "seed": 11,
+    "oracle": "power:2",
+    "alpha": "8"
   },
   "miss0": 0.12,
   "miss1": 0.861,
@@ -280,8 +283,7 @@ SAMPLE_N2 = """\
   "exact1": 0.865,
   "z0": -0.47809144373375745,
   "z1": -0.5185629788417315,
-  "criterion_value": 0.981,
-  "bits_consumed": 2306000
+  "criterion_value": 0.981
 }
 """
 
@@ -312,6 +314,38 @@ def test_owf_command(tmp_path):
     assert payload["n"] == 2
     assert payload["sets"] == [[4], [3]]  # frozen evaluator vector
     assert payload["bits_consumed"] == 156
+    assert list(payload)[:7] == ["timestamp", "ell", "beta", "alpha", "k_profile", "seed", "n"]
+    assert (payload["alpha"], payload["k_profile"], payload["seed"]) == ("8", "paper", 99)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--n", "2", "--trials", "1000", "--seed", "11", "--oracle", "power:2"],
+        ["owf"],
+    ],
+    ids=["sample", "owf"],
+)
+def test_reports_name_the_alpha_they_ran(tmp_path, args):
+    # At n=2 both alphas clamp m to 1, and at the owf defaults they give the
+    # same sets, so only the recorded configuration tells the runs apart.
+    reports = {}
+    for alpha in ("8", "16", "50/3"):
+        out = tmp_path / f"{alpha.replace('/', '_')}.json"
+        assert run_cli(args + ["--alpha", alpha, "--out", str(out)]) == 0
+        reports[alpha] = json.loads(without_timestamp(out.read_text()))
+    for alpha, payload in reports.items():
+        assert payload.get("params", payload)["alpha"] == alpha
+    assert len({json.dumps(r) for r in reports.values()}) == 3
+
+
+def test_sample_without_alpha_records_the_derived_alpha(tmp_path):
+    out = tmp_path / "sample.json"
+    args = ["sample", "--n", "2", "--beta", "3", "--trials", "1000", "--out", str(out)]
+    assert run_cli(args) == 0
+    params = json.loads(out.read_text())["params"]
+    assert params["alpha"] == "18"  # 4*3/(3-2) + 2*3
+    assert (params["seed"], params["oracle"]) == (1, "sq")
 
 
 def test_config_file_with_flag_override(tmp_path):

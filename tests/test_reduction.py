@@ -9,7 +9,7 @@ from owflab.reduction import (
     next_square_delta,
     reduce_phi,
 )
-from owflab.words import min_word
+from owflab.words import min_word, word_value
 
 CODE = "1011001110"  # a 10-bit stand-in machine code block
 
@@ -35,12 +35,16 @@ def test_delta_bounds_full_range():
 
 def test_reduce_phi_minimal_example():
     image = reduce_phi("1", CODE, 3)
-    assert image.k == 11
-    assert len(image.image) == 33
+    k = len(CODE) + len("1")
+    assert k == 11
+    assert len(image.image) == 3 * k == 33
     assert SQ.member(image.image)
     assert image.code_block == CODE
     assert image.source_block == "1"
-    assert image.delta.bit_length() <= image.nu
+    # The square distance fits in the zero trailer, so it never carries.
+    nu = len(image.image) - len(image.code) - len(image.source)
+    delta = image.value - (word_value(CODE + "1") << nu)
+    assert 0 <= delta and delta.bit_length() <= nu
 
 
 def test_reduce_phi_parameter_errors():

@@ -377,7 +377,6 @@ class VerdictReference:
     good: int
     theta: Fraction
     m: int
-    mstar: int
     regime: str
     holds: bool | None
     pr: Fraction
@@ -401,7 +400,7 @@ def bollobas_check_reference(N, good, theta, m, *, mstar=None):
     else:
         holds = None
         regime = "between"
-    return VerdictReference(N, good, theta, m, mstar, regime, holds, pr)
+    return VerdictReference(N, good, theta, m, regime, holds, pr)
 
 
 def assert_same_verdict(verdict, reference):
@@ -457,8 +456,8 @@ def test_bollobas_between_regimes_match_the_fraction_route():
 
 def test_bollobas_verdict_is_a_tuple():
     v = bollobas_check(4, 2, 1, 1)
-    assert v == (4, 2, Fraction(1), 1, 1, "below", True, Fraction(1, 2))
-    N, good, theta, m, mstar, regime, holds, pr = v
+    assert v == (4, 2, Fraction(1), 1, "below", True, Fraction(1, 2))
+    N, good, theta, m, regime, holds, pr = v
     assert (regime, holds, pr) == ("below", True, Fraction(1, 2))
 
 

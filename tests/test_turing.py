@@ -43,15 +43,12 @@ def test_header_length():
 
 def test_all_zero_words_decode_to_reject():
     for length in (1, 4, 8, 16):
-        prog = decode_program("0" * length)
-        assert prog.spec == CANONICAL_REJECT
+        assert decode_program("0" * length) == CANONICAL_REJECT
 
 
 def test_all_one_words_decode_to_reject():
     # no 0 terminates the 1-run, so there is no code at all
-    prog = decode_program("1" * 8)
-    assert prog.code is None
-    assert prog.spec == CANONICAL_REJECT
+    assert decode_program("1" * 8) == CANONICAL_REJECT
 
 
 def test_padding_invariance():
@@ -60,18 +57,18 @@ def test_padding_invariance():
         h = header_length(length)
         for _ in range(1000):
             w = format(rng.getrandbits(length), f"0{length}b")
-            spec = decode_program(w).spec
+            spec = decode_program(w)
             pos = rng.randrange(h, length)
             flipped = w[:pos] + ("1" if w[pos] == "0" else "0") + w[pos + 1 :]
-            assert decode_program(flipped).spec == spec
+            assert decode_program(flipped) == spec
 
 
 def test_hand_assembled_accept_machine():
     w = embed_code("0000", 32)
-    prog = decode_program(w)
-    assert prog.code == "0000"
-    assert prog.spec == ACCEPT_IMMEDIATELY
-    assert simulate(prog.spec, w, 10) == ("accept", 1)
+    spec = decode_program(w)
+    assert spec == ACCEPT_IMMEDIATELY
+    assert encode_spec(spec) == "0000"  # the code the header carries
+    assert simulate(spec, w, 10) == ("accept", 1)
 
 
 def test_parse_code_rejects_bad_material():
@@ -97,8 +94,7 @@ def test_scanner_embeds_in_a_long_word():
     # A 25-bit code needs a 26-bit header, i.e. words longer than 2**25.
     code = encode_spec(RIGHT_SCANNER)
     w = embed_code(code, 2**25 + 1)
-    prog = decode_program(w)
-    assert prog.spec == RIGHT_SCANNER
+    assert decode_program(w) == RIGHT_SCANNER
     with pytest.raises(ValueError):
         embed_code(code, 1024)
 
@@ -122,7 +118,7 @@ def test_diagonal_membership():
     # 0**8 decodes to the reject machine, which rejects itself in one step.
     assert diagonal_member("0" * 8)
     # At length 20 the 5-bit header 00000 parses as the accept machine.
-    assert decode_program("0" * 20).spec == ACCEPT_IMMEDIATELY
+    assert decode_program("0" * 20) == ACCEPT_IMMEDIATELY
     assert not diagonal_member("0" * 20)
     with pytest.raises(BudgetError):
         diagonal_member("0" * 21)
@@ -144,7 +140,7 @@ def test_diagonal_self_defeat():
         budget = 2**length
         for v in range(2**length):
             w = format(v, f"0{length}b")
-            outcome, _ = simulate(decode_program(w).spec, w, budget)
+            outcome, _ = simulate(decode_program(w), w, budget)
             assert diagonal_member(w) == (outcome == "reject")
 
 
@@ -168,5 +164,5 @@ def test_header_classes_partition_exhaustively():
         assert all(len(members) == expected for members in classes.values())
         # identical header implies identical decoded spec
         for members in classes.values():
-            specs = {decode_program(w).spec for w in members}
+            specs = {decode_program(w) for w in members}
             assert len(specs) == 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,6 +42,44 @@ def test_word_value_examples():
 def test_word_value_rejects_non_bits():
     with pytest.raises(ValueError):
         word_value("012")
+
+
+def test_word_checks_refuse_non_strings_and_name_the_word():
+    for f in (goedel_number, word_value):
+        with pytest.raises(TypeError):
+            f(101)
+        with pytest.raises(TypeError):
+            f(b"101")
+        with pytest.raises(ValueError, match=r"^not a bit string: '0_1'$"):
+            f("0_1")
+
+
+def _accepts(f, w):
+    try:
+        f(w)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.slow
+def test_word_checks_accept_exactly_the_bit_strings():
+    # goedel_number and word_value check a word on the parse of "1" + w,
+    # which int() would also take with "_" between digits, with surrounding
+    # whitespace or with non-ASCII digits.  Every string of length <= 3 over
+    # ASCII, an Arabic-Indic and a fullwidth digit and a no-break space is
+    # accepted exactly when it is over {0, 1}, with the right value.
+    alphabet = [chr(c) for c in range(128)] + ["\u0661", "\uff11", "\u00a0"]
+    is_bits = frozenset("01").issuperset
+    for length in range(4):
+        for chars in itertools.product(alphabet, repeat=length):
+            w = "".join(chars)
+            if is_bits(w):
+                assert goedel_number(w) == (1 << length) + word_value(w), w
+                assert word_value(w) == sum(int(c) << i for i, c in enumerate(w[::-1]))
+            else:
+                assert not _accepts(goedel_number, w), w
+                assert not _accepts(word_value, w), w
 
 
 def test_gn_of_integer_examples():
