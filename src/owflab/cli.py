@@ -103,21 +103,27 @@ def _check_config_value(key: str, value) -> None:
         raise SystemExit(f"config key {key!r}: {value!r} is not one of {list(choices)}")
 
 
+# The --oracle spellings besides power:R, the r-th powers.  An entry reads
+# languages when a command runs, not at import, so that a traced run gets
+# the SQ and power_oracle it swapped in.  A report names its oracle by the
+# spelling that ran.
+ORACLES = {
+    "sq": lambda: languages.SQ,
+    "cube": lambda: languages.power_oracle(3),
+    "sigma-star": lambda: languages.SIGMA_STAR,
+    "empty": lambda: languages.EMPTY,
+}
+
+
 def _resolve_oracle(name: str) -> languages.LanguageOracle:
-    if name == "sq":
-        return languages.SQ
-    if name == "cube":
-        return languages.power_oracle(3)
+    if name in ORACLES:
+        return ORACLES[name]()
     if name.startswith("power:"):
         try:
             r = int(name.split(":", 1)[1])
         except ValueError:
             raise SystemExit(f"unknown oracle {name!r}") from None
         return languages.power_oracle(r)
-    if name == "sigma-star":
-        return languages.sigma_star_oracle()
-    if name == "empty":
-        return languages.empty_oracle()
     raise SystemExit(f"unknown oracle {name!r}")
 
 
@@ -153,7 +159,7 @@ def _cmd_density(cfg: dict) -> tuple[dict, bool]:
         ):
             violations += 1
     return {
-        "oracle": oracle.name,
+        "oracle": cfg["oracle"],
         "limit": limit,
         "violations": violations,
         "rows": Table(("x", "dens", "lower_bound", "upper_bound"), rows),
@@ -180,9 +186,12 @@ def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
 
 
 def _cmd_verify_all(cfg: dict) -> tuple[dict, bool]:
-    # C7 runs the error experiment at --trials; refuse too few before C1.
+    # C7 runs the error experiment at --trials, with tape seeds seed + n for
+    # n up to 4 that must fit in 64 unsigned bits; refuse either before C1.
     if cfg["trials"] < owf.MIN_TRIALS:
         raise ValueError(f"the error experiment needs trials >= {owf.MIN_TRIALS}")
+    if not 0 <= cfg["seed"] <= 2**64 - 5:
+        raise ValueError("verify-all needs 0 <= seed <= 2**64 - 5")
     config = acceptance.VerifyConfig(
         seed=cfg["seed"],
         trials=cfg["trials"],

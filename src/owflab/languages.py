@@ -1,12 +1,14 @@
 """Decidable language oracles and exact density functions.
 
-A language oracle bundles a membership predicate over words with a claimed
-density shape: dens(x) is the number of member words whose Goedel number is
-at most x, and the claim is d * x**(1/beta) <= dens(x) <= sqrt(x) for
-x >= x0.  The built-in square / r-th power oracles accept only the minimal
-binary representation of a value (leading 1); counting padded variants such
-as "0100" as well would break the sqrt(x) ceiling that the density argument
-rests on.
+A language oracle is a membership test over words and a claimed density
+shape: dens(x) is the number of member words whose Goedel number is at most
+x, and the claim is d * x**(1/beta) <= dens(x) <= sqrt(x) for x >= x0.  An
+oracle carries no name; the CLI's ``--oracle`` table names it, and a report
+writes the spelling that ran.  The r-th power oracles, with SQ the square
+one, accept only the minimal binary representation of a value (leading 1);
+counting padded variants such as "0100" as well would break the sqrt(x)
+ceiling that the density argument rests on.  SIGMA_STAR and EMPTY are the
+full and the empty language.
 
 Lower-bound constants are carried as the exact rational d**beta so that every
 bound check is an integer comparison (d itself is typically irrational for
@@ -36,7 +38,6 @@ class LanguageOracle:
     lower bound is asserted.
     """
 
-    name: str
     member: Callable[[Word], bool]
     beta: int
     d_pow_beta: Fraction | None
@@ -48,18 +49,6 @@ class LanguageOracle:
         if self.d_pow_beta is None:
             return None
         return float(self.d_pow_beta) ** (1.0 / self.beta)
-
-
-def is_perfect_power(value: int, r: int) -> bool:
-    """True iff value = x**r for some integer x >= 1."""
-    if value < 1:
-        return False
-    return iroot(value, r)[1] == 0
-
-
-def _canonical(w: Word) -> bool:
-    # Minimal binary representation of a positive integer: leading 1.
-    return bool(w) and w[0] == "1"
 
 
 def power_oracle(r: int) -> LanguageOracle:
@@ -75,10 +64,9 @@ def power_oracle(r: int) -> LanguageOracle:
         raise ValueError("power oracles need r >= 2")
 
     def member(w: Word) -> bool:
-        return _canonical(w) and is_perfect_power(word_value(w), r)
+        return w[:1] == "1" and iroot(word_value(w), r)[1] == 0
 
     return LanguageOracle(
-        name=f"power{r}",
         member=member,
         beta=r,
         d_pow_beta=Fraction(1, 5 * 2**r),
@@ -88,28 +76,11 @@ def power_oracle(r: int) -> LanguageOracle:
 
 # The square oracle keeps the (slightly stronger) constants fixed by a
 # calibration scan: d = 3/10 from x0 = 16 onwards.
-SQ = replace(power_oracle(2), name="sq", d_pow_beta=Fraction(9, 100), x0=16)
+SQ = replace(power_oracle(2), d_pow_beta=Fraction(9, 100), x0=16)
 
-
-def sigma_star_oracle() -> LanguageOracle:
-    """The full language: every word is a member, so dens(x) = x."""
-    return LanguageOracle(
-        name="sigma-star",
-        member=lambda w: True,
-        beta=1,
-        d_pow_beta=Fraction(1),
-        x0=1,
-    )
-
-
-def empty_oracle() -> LanguageOracle:
-    return LanguageOracle(
-        name="empty",
-        member=lambda w: False,
-        beta=1,
-        d_pow_beta=None,
-        x0=1,
-    )
+# The full language, where dens(x) = x, and the empty one.
+SIGMA_STAR = LanguageOracle(member=lambda w: True, beta=1, d_pow_beta=Fraction(1), x0=1)
+EMPTY = LanguageOracle(member=lambda w: False, beta=1, d_pow_beta=None, x0=1)
 
 
 def intersect(l1: LanguageOracle, l2: LanguageOracle) -> LanguageOracle:
@@ -117,7 +88,6 @@ def intersect(l1: LanguageOracle, l2: LanguageOracle) -> LanguageOracle:
     density at any point; no lower-bound constant is claimed for it."""
     m1, m2 = l1.member, l2.member
     return LanguageOracle(
-        name=f"{l1.name}&{l2.name}",
         member=lambda w: m1(w) and m2(w),
         beta=max(l1.beta, l2.beta),
         d_pow_beta=None,

@@ -243,7 +243,7 @@ def sampler_params(
 class BollobasVerdict(NamedTuple):
     N: int
     good: int
-    theta: Fraction
+    theta: Fraction | int
     m: int
     regime: str  # "below" | "above" | "between"
     holds: bool | None  # None in the between-regimes gap
@@ -269,8 +269,7 @@ def bollobas_check(
     denominator may not exceed ALPHA_TERM_LIMIT, the bound on alpha's.
     A caller that already has m*(N, good) passes it as ``mstar``.
     """
-    theta = Fraction(theta)
-    a, b = theta.numerator, theta.denominator
+    a, b = theta.as_integer_ratio()
     if a < b:
         raise ValueError("theta must be >= 1")
     if a > ALPHA_TERM_LIMIT:  # b <= a, so a is the larger term

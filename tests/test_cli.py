@@ -177,6 +177,7 @@ def test_census_golden(tmp_path, fmt):
 
 # SHA-256 of reports whose every value comes from exact integer routines,
 # timestamp removed; a refactor of those routines must leave them unchanged.
+# The density entry names its oracle as the flag spells it, "cube".
 REPORT_DIGESTS = {
     ("threshold", "--n", "60", "--format", "csv"): (
         "fc2a64004a72c97ef1c9a30b6324947d71c37fb5b77e661d4d5858b1028ec560"
@@ -185,7 +186,7 @@ REPORT_DIGESTS = {
         "6f9c00a841f3d12066c83368905f42db914b2dd16c13de75577a779f185433e1"
     ),
     ("density", "--oracle", "cube", "--ell", "5000", "--format", "csv"): (
-        "b313157a6f6f1e4201f4080417cc42a5cdd5fc3f7334118a8dd9608cf3c66a0f"
+        "4939f5552003a38a37722c01bfa88695db0cc41308b31c6fe361309fc4560143"
     ),
 }
 
@@ -196,6 +197,22 @@ def test_report_digests(tmp_path, args):
     assert run_cli(list(args) + ["--out", str(out)]) == 0
     text = without_timestamp(out.read_text())
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("oracle", [*cli.ORACLES, "power:2", "power:5"])
+def test_density_report_reruns_from_its_own_header(tmp_path, oracle):
+    # The oracle a report names is one --oracle takes, and it is the one
+    # that ran: a second run from the header writes the same report.
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"density{run}.csv"
+        code = run_cli(["density", "--oracle", oracle, "--ell", "300", "--out", str(out)])
+        reports.append((code, without_timestamp(out.read_text())))
+        header = dict(
+            item.split("=", 1) for item in out.read_text().splitlines()[1].split()[3:]
+        )
+        oracle = header["oracle"]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
@@ -356,7 +373,7 @@ def test_config_file_with_flag_override(tmp_path):
         ["density", "--config", str(cfg), "--ell", "30", "--out", str(out)]
     ) == 0
     lines = out.read_text().splitlines()
-    assert "oracle=power3" in lines[1]  # from the file
+    assert "oracle=cube" in lines[1]  # from the file
     assert len(lines) == 3 + 30  # the flag beat the file
 
 
@@ -425,6 +442,25 @@ def test_verify_all_refuses_too_few_trials_before_any_criterion(tmp_path, capsys
     assert "PASS" not in err and "FAIL" not in err
     assert err == "owflab: the error experiment needs trials >= 1000\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 - 4)])
+def test_verify_all_refuses_an_out_of_range_seed_before_any_criterion(
+    tmp_path, capsys, seed
+):
+    # C7 seeds its tapes with seed + n for n up to 4, and a tape seed fits
+    # in 64 unsigned bits; 2**64 - 5 is the largest seed every criterion takes.
+    out = tmp_path / "report.csv"
+    assert run_cli(["verify-all", "--trials", "1000", "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "owflab: verify-all needs 0 <= seed <= 2**64 - 5\n"
+    assert not out.exists()
+
+
+def test_the_largest_verify_all_seed_runs_every_seeded_criterion():
+    config = acceptance.VerifyConfig(seed=2**64 - 5, trials=1000, owf_trials=10)
+    for ident in ("C7", "C8", "C10"):
+        assert acceptance.run_criterion(ident, config).passed, ident
 
 
 def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):

@@ -9,17 +9,16 @@ import pytest
 from owflab.cli import main
 from owflab.errors import BudgetError
 from owflab.languages import (
+    EMPTY,
+    SIGMA_STAR,
     SQ,
     LanguageOracle,
     density_csv_rows,
     density_scan,
-    empty_oracle,
     intersect,
-    is_perfect_power,
     power_oracle,
-    sigma_star_oracle,
 )
-from owflab.words import gn_of_integer, min_word
+from owflab.words import gn_of_integer, iroot, min_word
 
 
 def density(oracle, x):
@@ -63,7 +62,7 @@ def test_density_examples():
 
 
 def test_density_matches_value_enumeration():
-    is_square = lambda y: is_perfect_power(y, 2)
+    is_square = lambda y: iroot(y, 2)[1] == 0
     for x in (1, 2, 3, 11, 12, 13, 57, 100, 1000, 4095, 4096):
         assert density(SQ, x) == brute_density_of_values(is_square, x)
 
@@ -75,10 +74,10 @@ def test_density_budget():
 
 def test_density_is_monotone_and_at_most_x():
     rng = random.Random(7)
-    for trial in range(5):
+    for _ in range(5):
         bits = rng.getrandbits(64)
         member = lambda w, b=bits: bool(w) and (hash(w) ^ b) % 3 == 0
-        oracle = LanguageOracle(f"rand{trial}", member, 1, None, 1)
+        oracle = LanguageOracle(member, 1, None, 1)
         prev = 0
         for x, dens in density_scan(oracle, 300):
             assert dens <= x
@@ -87,13 +86,13 @@ def test_density_is_monotone_and_at_most_x():
 
 
 def test_intersect_with_full_language_is_identity():
-    both = intersect(SQ, sigma_star_oracle())
+    both = intersect(SQ, SIGMA_STAR)
     merged = zip(density_scan(both, 10**4), density_scan(SQ, 10**4))
     assert all(a == b for a, b in merged)
 
 
 def test_intersect_with_odd_words():
-    odd = LanguageOracle("odd", lambda w: bool(w) and w[-1] == "1", 1, None, 1)
+    odd = LanguageOracle(lambda w: bool(w) and w[-1] == "1", 1, None, 1)
     both = intersect(SQ, odd)
     # odd squares 1, 9, 25 sit at indices 3, 25, 57
     assert density(both, 57) == 3
@@ -101,12 +100,12 @@ def test_intersect_with_odd_words():
 
 
 def test_intersect_with_empty_language():
-    both = intersect(SQ, empty_oracle())
+    both = intersect(SQ, EMPTY)
     assert density(both, 500) == 0
 
 
 def test_intersect_never_increases_density():
-    odd = LanguageOracle("odd", lambda w: bool(w) and w[-1] == "1", 1, None, 1)
+    odd = LanguageOracle(lambda w: bool(w) and w[-1] == "1", 1, None, 1)
     both = intersect(SQ, odd)
     for x in range(1, 200):
         d = density(both, x)
@@ -145,19 +144,20 @@ def test_power_oracle_is_fast_and_exact_past_float_roots():
     assert not cube.member(min_word(x**3 - 1))
     assert time.perf_counter() - start < 1.0
     # 3**700 is past the float range, where a float estimate overflows.
-    assert is_perfect_power(3**699, 3)
-    assert not is_perfect_power(3**700, 3)
-    assert is_perfect_power(3**700, 7) and is_perfect_power(3**700, 350)
+    assert iroot(3**699, 3)[1] == 0
+    assert iroot(3**700, 3)[1] != 0
+    assert iroot(3**700, 7)[1] == 0 and iroot(3**700, 350)[1] == 0
 
 
 def test_density_report_names_the_oracle_it_ran(capsys):
     # power:2 runs the generic constants (d**2 = 1/20 from x0 = 20), not
-    # those of sq, so its report must not call it sq.
+    # those of sq, so its report must not call it sq.  A report names its
+    # oracle as --oracle spelled it.
     assert power_oracle(2).d_pow_beta == Fraction(1, 20)
     assert power_oracle(2).x0 == 20
-    for oracle, name in (("sq", "sq"), ("power:2", "power2"), ("cube", "power3")):
+    for oracle in ("sq", "power:2", "cube"):
         code, report = density_report(capsys, oracle, 500)
-        assert (code, report["oracle"]) == (0, name)
+        assert (code, report["oracle"]) == (0, oracle)
 
 
 def test_power_oracle_density_band():
@@ -208,4 +208,4 @@ def test_oracle_d_property():
     assert SQ.d == pytest.approx(0.3)
     assert SQ.d_pow_beta == Fraction(9, 100)
     assert power_oracle(3).d == pytest.approx((1 / 40) ** (1 / 3))
-    assert empty_oracle().d is None
+    assert EMPTY.d is None

@@ -15,13 +15,7 @@ from owflab.errors import (
     InvariantViolation,
     TapeExhausted,
 )
-from owflab.languages import (
-    SQ,
-    density_scan,
-    empty_oracle,
-    power_oracle,
-    sigma_star_oracle,
-)
+from owflab.languages import EMPTY, SIGMA_STAR, SQ, density_scan, power_oracle
 from owflab.owf import (
     InstanceSet,
     _check_monotone,
@@ -278,7 +272,7 @@ def test_e_ell_trend_nondecreasing_within_ci():
         assert b.criterion_value <= a.criterion_value + 2 * (ca + cb)
 
 
-@pytest.mark.parametrize("oracle", [empty_oracle(), sigma_star_oracle()])
+@pytest.mark.parametrize("oracle", [EMPTY, SIGMA_STAR])
 def test_experiment_z_scores_are_zero_at_zero_variance(oracle):
     # With no member, or every word a member, each branch's outcome is
     # certain: exact0 is 0 or 1, every exact1 term is 1 or 0, and a z-score

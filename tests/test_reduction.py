@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from owflab.languages import SQ, empty_oracle
+from owflab.languages import EMPTY, SQ
 from owflab.reduction import (
     density_transfer_check,
     next_square_delta,
@@ -123,9 +123,7 @@ def test_density_transfer_for_squares():
 
 
 def test_density_transfer_empty_language():
-    report = density_transfer_check(
-        empty_oracle().member, CODE, 3, 2**10, ["1", "101"]
-    )
+    report = density_transfer_check(EMPTY.member, CODE, 3, 2**10, ["1", "101"])
     assert all(p.source_count == 0 and p.image_count == 0 for p in report.points)
 
 

@@ -366,7 +366,8 @@ def test_bollobas_irrational_bound_is_exact():
 
 # The Fraction route that bollobas_check and hit_probability replaced: the
 # hit probability as 1 - miss/total, a frozen dataclass per verdict, and
-# theta compared as a Fraction.  Kept as the reference for the integer route.
+# theta compared as a Fraction.  Kept as the reference for the integer route;
+# a verdict holds theta as it was passed.
 def hit_probability_reference(N, good, k):
     return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
 
@@ -375,7 +376,7 @@ def hit_probability_reference(N, good, k):
 class VerdictReference:
     N: int
     good: int
-    theta: Fraction
+    theta: Fraction | int
     m: int
     regime: str
     holds: bool | None
@@ -383,14 +384,14 @@ class VerdictReference:
 
 
 def bollobas_check_reference(N, good, theta, m, *, mstar=None):
-    theta = Fraction(theta)
-    if theta < 1:
+    t = Fraction(theta)
+    if t < 1:
         raise ValueError("theta must be >= 1")
     if mstar is None:
         mstar = exact_threshold(N, good)
     pr = hit_probability_reference(N, good, m)
     miss, total = pr.denominator - pr.numerator, pr.denominator
-    a, b = theta.numerator, theta.denominator
+    a, b = t.numerator, t.denominator
     if m * a <= mstar * b:
         holds = miss**a * 2**b >= total**a
         regime = "below"
