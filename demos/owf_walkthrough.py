@@ -27,7 +27,7 @@ from owflab.owf import (
 oracle = power_oracle(2)
 
 print("Evaluating the encoder on a 600-bit input (beta=1, full-budget tapes):")
-w = expand_seed_bits(99, 600)
+w = format(expand_seed_bits(99, 600), "0600b")
 out = owf_evaluate(w, 1, "paper", alpha=8)
 print(f"  payload bits: {w[:out.n]!r}, urn N={out.params.N}, m={out.params.m}")
 for bit, instance in zip(w, out.sets):

@@ -148,7 +148,7 @@ def _criterion_8(config: VerifyConfig) -> tuple[bool, str]:
     ell, beta = 600, 1
     shapes = set()
     for t in range(config.owf_trials):
-        w = bitsampler.expand_seed_bits(config.seed, ell, stream=t)
+        w = format(bitsampler.expand_seed_bits(config.seed, ell, stream=t), f"0{ell}b")
         out = owf.owf_evaluate(w, beta, k_profile="paper", alpha=8)
         shapes.add(
             (

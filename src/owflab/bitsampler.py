@@ -27,15 +27,32 @@ draw and its largest deviation from 1/R; ``permutation_distribution`` gives
 every sequence's probability and whether the least of them meets the floor
 (1 - 2**-N)**N / N! that the construction's k = N**2 + 2 guarantees.
 
-Every read is ``take(k)``, which slices k bits out of one window of the tape
-and returns them as an integer.  A literal tape's window is its whole
-string.  Because block i depends only on (seed, stream, i), a seeded tape
-holds (seed, stream, total) and a window of whole blocks; a read that runs
-past the window's end refills it: it keeps the window's unread tail and
-hashes just the blocks after it, so each block is hashed once per tape.
+A draw reads only the bits that decide it.  The output floor(r * R / 2**k)
+is monotone in r, so once the leading c bits of r confine it to an interval
+on which that floor takes one value, the other k - c bits cannot change it
+(Knuth and Yao 1976; Lumbroso, arXiv:1304.1916).  ``draw_integer`` reads
+the leading c = bit length of R + 64 bits; when the lowest and the highest
+completion of them give the same output it skips the rest, and otherwise it
+reads them and computes from all k.  A draw whose other k - c bits are
+fewer than a block's 256 reads all k at once, since skipping them would
+save less than the test costs.  Outputs and cursors are those of full k-bit
+reads.  Every practical-profile draw reads whole; at the paper profile a
+draw over an urn of 1296 reads 75 of its 1,679,618 bits.
+
+Every read is ``take(k)``, which returns the next k bits as an integer,
+most significant first.  A literal tape slices them from its string.
+Because block i depends only on (seed, stream, i), a seeded tape holds
+(seed, stream, total) and an integer window that ends on a block boundary;
+a read is a shift and a mask.  A read that runs past the window's end
+refills it: it keeps the window's unread bits and ORs in, under them, just
+the blocks from the first one not yet hashed (or the one holding the cursor)
+through the one holding the read's last bit, so each block is hashed once
+per tape and a block that only skipped bits fall in is never hashed.
 ``skip(k)`` advances the cursor past k bits without reading them, with the
 same bounds check as ``take``; either way every bit position is consumed at
-most once.
+most once.  A shift costs time in proportion to the window's size, so the
+window stays bounded: a read refills block by block, and a selection
+refills ahead by at most 4096 bits.
 
 A Fisher-Yates pass draws positions from ranges N, N-1, ..., 1, consuming
 exactly k bits per draw (the final size-1 draw included, so a permutation
@@ -44,10 +61,11 @@ only: it makes those m draws, finds each entry as the idx-th survivor of
 {1..N} with the earlier entries removed (an order statistic, found by a
 binary search over the sorted removed list, Knuth TAOCP 3.4.2), and skips
 the (N-m)*k bits the remaining draws would have read, so outputs and cursor
-match the full pass.  Before its draws, a selection refills the window once
-to cover all m*k bits they read, so a selection expands the seed at most
-once and hashes the same blocks, in the same order, as draw-by-draw refills
-would.  The construction's own budget is k = N**2 + 2 (profile
+match the full pass.  When every one of its draws reads whole, a selection
+on a seeded tape refills the window ahead of its draws, at most 4096 bits
+at a time: a selection whose m*k bits fit that bound expands the seed at
+most once, and either way it hashes the same blocks, in the same order, as
+draw-by-draw refills would.  The construction's own budget is k = N**2 + 2 (profile
 name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps large
 experiments feasible at a correspondingly looser per-draw bias bound.
 """
@@ -65,6 +83,9 @@ from .errors import BudgetError, InvariantViolation, TapeExhausted
 BIAS_PROFILE_MAX_K = 24
 PERMUTATION_MAX_N = 6
 PERMUTATION_MAX_K = 64
+# A draw's leading read: the bits its range needs and these guard bits.
+_GUARD_BITS = 64
+_PREFILL_MAX_BITS = 4096  # the most a selection refills ahead of its draws
 
 
 def paper_k(urn_size: int) -> int:
@@ -92,34 +113,41 @@ def _check_seed(seed: int, stream: int) -> None:
         raise ValueError("stream must fit in 64 unsigned bits")
 
 
-def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> str:
+def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> int:
     """Bits [start, start+nbits) of the documented counter-mode expansion:
     SHA-256 blocks over (seed, stream, counter), bytes read MSB first.
-    Only the blocks that hold those bits are hashed."""
+    Returns them as an integer, the bit at ``start`` most significant;
+    ``format(x, f"0{nbits}b")`` spells them out.  Only the blocks that hold
+    those bits are hashed, so a zero-bit request hashes none."""
     _check_seed(seed, stream)
     if nbits < 0 or start < 0:
         raise ValueError("nbits and start must be >= 0")
-    prefix = seed.to_bytes(8, "big") + stream.to_bytes(8, "big")
-    first, offset = divmod(start, 256)
-    raw = b"".join(
-        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        for counter in range(first, (start + nbits + 255) // 256)
-    )
-    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    return bits[offset : offset + nbits]
+    if not nbits:
+        return 0
+    head = seed << 128 | stream << 64  # a block's 24-byte input, counter 0
+    end = start + nbits
+    stop = -(-end // 256)
+    sha256 = hashlib.sha256
+    raw = bytearray()
+    for i in range(start // 256, stop):
+        raw += sha256((head | i).to_bytes(24, "big")).digest()
+    return (int.from_bytes(raw, "big") >> (stop * 256 - end)) & ((1 << nbits) - 1)
 
 
 class BitTape:
     """Finite consumable sequence of bits with a strict left-to-right cursor.
 
-    ``take`` reads bits [cursor, cursor+k) from ``_window``, which holds the
-    tape's bits from position ``_base`` on.  A literal tape's window is its
-    whole string.  A seeded tape keeps (seed, stream, total) and a window
-    that ends on a block boundary; ``_refill`` extends it when a read runs
-    past its end (``fisher_yates`` calls it once for a whole selection), so
-    each block is hashed once per tape."""
+    ``take`` reads bits [cursor, cursor+k).  A literal tape reads them from
+    its string, ``_bits``, and never refills.  A seeded tape keeps (seed,
+    stream, total) and an integer window, ``_window``, whose low bits are
+    the tape's bits up to position ``_end``, a block boundary; a read is a
+    shift and a mask.  ``_refill`` extends the window when a read runs past
+    its end: it keeps the unread bits and ORs the fresh blocks in under
+    them, so each block is hashed once per tape.  A shift costs time in
+    proportion to the window's size, so reads refill block by block and
+    only ``fisher_yates`` refills ahead, by at most ``_PREFILL_MAX_BITS``."""
 
-    __slots__ = ("_seed", "_stream", "_total", "_cursor", "_window", "_base")
+    __slots__ = ("_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end")
 
     def __init__(self, bits: str):
         # int(s, 2) would also accept "_", whitespace, a sign, "0b" and
@@ -129,16 +157,18 @@ class BitTape:
         self._seed = self._stream = 0
         self._total = len(bits)
         self._cursor = 0
-        self._window = bits
-        self._base = 0
+        self._bits: str | None = bits
+        self._window = 0
+        self._end = len(bits)
 
     @classmethod
     def from_seed(cls, seed: int, nbits: int, stream: int = 0) -> "BitTape":
         _check_seed(seed, stream)
         if nbits < 0:
             raise ValueError("a tape cannot have a negative length")
-        tape = cls("")
-        tape._seed, tape._stream, tape._total = seed, stream, nbits
+        tape = cls.__new__(cls)  # no literal string to check
+        tape._seed, tape._stream, tape._total, tape._cursor = seed, stream, nbits, 0
+        tape._bits, tape._window, tape._end = None, 0, 0
         return tape
 
     @property
@@ -158,29 +188,35 @@ class BitTape:
         end = start + k
         if k < 0 or end > self._total:
             self.skip(k)  # raises the ValueError or TapeExhausted
-        if end > self._base + len(self._window) and k:
+        bits = self._bits
+        if bits is not None:
+            self._cursor = end
+            return int(bits[start:end] or "0", 2)
+        if not k:
+            return 0
+        if end > self._end:
             self._refill(end)
         self._cursor = end
-        base = self._base
-        return int(self._window[start - base : end - base] or "0", 2)
+        return (self._window >> (self._end - end)) & ((1 << k) - 1)
 
     def _refill(self, end: int) -> None:
         """Make the window cover bits [cursor, end), a read of at least one
         bit that fits the tape.
 
-        Only a seeded tape can need more: a literal window holds the whole
-        tape.  Keep the unread tail, hash the blocks from the first one not
-        yet hashed (or the one holding the cursor, past a skip) through the
-        one holding bit end - 1."""
-        start, window, base = self._cursor, self._window, self._base
-        if end <= base + len(window):
+        A literal tape's ``_end`` is its length, so it never needs more.
+        Keep the unread bits, hash the blocks from the first one not yet
+        hashed (or the one holding the cursor, past a skip) through the one
+        holding bit end - 1."""
+        start, old_end = self._cursor, self._end
+        if end <= old_end:
             return
-        keep = window[start - base :]
-        fresh = max(base + len(window), start - start % 256)
-        self._window = keep + expand_seed_bits(
-            self._seed, -(-end // 256) * 256 - fresh, self._stream, fresh
+        fresh = max(old_end, start - start % 256)
+        stop = -(-end // 256) * 256
+        kept = self._window & ((1 << (old_end - start)) - 1) if start < old_end else 0
+        self._window = (kept << (stop - fresh)) | expand_seed_bits(
+            self._seed, stop - fresh, self._stream, fresh
         )
-        self._base = fresh - len(keep)
+        self._end = stop
 
     def skip(self, k: int) -> None:
         """Consume k bits without reading them, or raise if k is negative or
@@ -198,13 +234,39 @@ class BitTape:
 
 def draw_integer(tape: BitTape, lo: int, hi: int, k: int) -> int:
     """Uniform-ish draw from [lo, hi] consuming exactly k bits:
-    lo + floor(r_num * range / 2**k)."""
+    lo + floor(r * R / 2**k) with R = hi - lo + 1 and r the k bits.
+
+    The draw reads only the bits that decide it.  It first reads the
+    leading c = R.bit_length() + 64 bits p.  Every r that starts with p
+    lies in [p * 2**d, (p+1) * 2**d - 1], d = k - c, and the output is
+    monotone in r, so when the lowest and the highest completion give the
+    same floor the output is settled and the draw skips the other d bits.
+    Otherwise, which the 64 guard bits make a chance below 2**-64, it reads
+    them and computes from all k.  When d is under 256, one block, the draw
+    reads all k bits at once: skipping them would save less than the test
+    costs.  Output and cursor are those of the full k-bit read either way
+    (Knuth and Yao 1976; Lumbroso, arXiv:1304.1916)."""
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    r_num = tape.take(k)
-    return lo + ((r_num * (hi - lo + 1)) >> k)
+    R = hi - lo + 1
+    c = R.bit_length() + _GUARD_BITS
+    if k < c + 256:
+        return lo + ((tape.take(k) * R) >> k)
+    if k > tape._total - tape._cursor:
+        tape.skip(k)  # raises TapeExhausted before any bit is consumed
+    p = tape.take(c)
+    d = k - c
+    pR = p * R
+    # The highest completion's output is floor(((p+1) * 2**d - 1) * R / 2**k)
+    # = floor((p*R + R - R / 2**d) / 2**c), and as p*R + R is an integer it
+    # is the floor with R / 2**d rounded up: no k-bit number is built.
+    if (pR + R + (-R >> d)) >> c == pR >> c:
+        tape._cursor += d  # the d bits are on the tape: checked above
+        return lo + (pR >> c)
+    r = (p << d) | tape.take(d)
+    return lo + ((r * R) >> k)
 
 
 def _interval_counts(range_size: int, k: int) -> tuple[int, ...]:
@@ -249,8 +311,14 @@ def fisher_yates(
     selection sampling: the j-th entry is drawn from the N-j remaining
     elements with one k-bit draw.  Consumes exactly N*k bits whatever m is,
     skipping the draws after the m-th; k defaults to the full budget
-    N**2 + 2.  The tape's window is refilled once, before the draws, to
-    cover the m*k bits they read."""
+    N**2 + 2.
+
+    When every draw reads all its k bits (k is under the least range's bit
+    length plus 320, as at the practical profile), a seeded tape's window
+    is refilled ahead of the draws, ``_PREFILL_MAX_BITS`` bits at most, so
+    a selection whose m*k bits fit that bound refills once.  Otherwise each
+    read refills the window block by block, and a draw that settles on its
+    leading bits hashes no block past them."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if k is None:
@@ -264,11 +332,17 @@ def fisher_yates(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
-    if m * k > 0:
-        tape._refill(tape.cursor + m * k)  # one refill serves every draw below
+    # Draws per refill of a seeded window ahead of them; none on a literal
+    # tape, which holds all its bits, or when a draw may skip bits, which a
+    # refill ahead would hash for nothing.
+    ahead = 0
+    if tape._bits is None and k < (N - m + 1).bit_length() + _GUARD_BITS + 256:
+        ahead = max(1, _PREFILL_MAX_BITS // k)
     removed: list[int] = []  # the entries drawn so far, ascending
     out = []
     for j in range(m):
+        if ahead and not j % ahead:
+            tape._refill(tape.cursor + min(ahead, m - j) * k)
         # The idx-th survivor (from 0) is t = idx + 1 shifted up by the count
         # of removed entries at or below it.  That count is the number of
         # positions p with removed[p] - p <= t, and removed[p] - p never

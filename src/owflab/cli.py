@@ -227,7 +227,7 @@ def _cmd_sample(cfg: dict) -> tuple[dict, bool]:
 
 def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
     ell = cfg["ell"]
-    w = bitsampler.expand_seed_bits(cfg["seed"], ell)
+    w = format(bitsampler.expand_seed_bits(cfg["seed"], ell), f"0{ell}b")
     out = owf.owf_evaluate(
         w, cfg["beta"], k_profile=cfg["k_profile"], alpha=_parse_alpha(cfg["alpha"])
     )

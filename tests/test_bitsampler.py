@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,12 +91,23 @@ def test_seed_expansion_matches_documented_construction():
         seed.to_bytes(8, "big") + stream.to_bytes(8, "big") + (0).to_bytes(8, "big")
     ).digest()
     expected = "".join(format(b, "08b") for b in block0)
-    assert expand_seed_bits(1, 256) == expected
-    assert expand_seed_bits(1, 40) == expected[:40]
+    assert format(expand_seed_bits(1, 256), "0256b") == expected
+    assert format(expand_seed_bits(1, 40), "040b") == expected[:40]
+    assert expand_seed_bits(1, 40, 0, 8) == int(expected[8:48], 2)
     # a different stream decorrelates
-    assert expand_seed_bits(1, 40, stream=1) != expected[:40]
+    assert format(expand_seed_bits(1, 40, stream=1), "040b") != expected[:40]
     with pytest.raises(ValueError):
         expand_seed_bits(2**64, 8)
+
+
+def test_a_zero_bit_expansion_hashes_no_block(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(bitsampler, "hashlib", counting_hashlib(blocks))
+    for start in (0, 255, 256, 300):
+        assert expand_seed_bits(1, 0, 0, start) == 0
+    assert blocks == []
+    assert expand_seed_bits(1, 1, 0, 300) == expand_seed_bits(1, 256, 0, 256) >> 211 & 1
+    assert blocks == [1, 1]
 
 
 def test_bias_profile_example():
@@ -309,10 +321,34 @@ def test_profile_k():
         profile_k("fast", 4)
 
 
+def full_read_draw(tape, lo, hi, k):
+    """The subinterval rule on all k bits: lo + floor(r * R / 2**k)."""
+    return lo + ((tape.take(k) * (hi - lo + 1)) >> k)
+
+
 def list_pop_fisher_yates(tape, N, k):
-    """The full-pass reference: every draw made, survivors kept in a list."""
+    """The full-pass reference: every draw made on all its k bits,
+    survivors kept in a list."""
     items = list(range(1, N + 1))
-    return tuple(items.pop(draw_integer(tape, 0, N - j - 1, k)) for j in range(N))
+    return tuple(items.pop(full_read_draw(tape, 0, N - j - 1, k)) for j in range(N))
+
+
+def counting_hashlib(blocks):
+    """A stand-in for ``hashlib`` that appends each hashed block's counter."""
+    real = hashlib.sha256
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            blocks.append(int.from_bytes(data[16:], "big"))
+            return real(data)
+
+    return CountingHashlib
+
+
+def expansion(seed, nbits, stream=0):
+    """``expand_seed_bits`` spelled out as a string of nbits bits."""
+    return format(expand_seed_bits(seed, nbits, stream), f"0{nbits}b") if nbits else ""
 
 
 def documented_expansion(seed, nbits, stream):
@@ -342,7 +378,7 @@ def test_seeded_tape_reads_slices_of_the_expansion(seed, stream, total, ops):
     # Reads span several blocks, skips jump past the window, and 0-bit reads
     # land past it.
     tape = BitTape.from_seed(seed, total, stream)
-    full = expand_seed_bits(seed, total, stream)
+    full = expansion(seed, total, stream)
     assert full == documented_expansion(seed, total, stream)
     for op, k in ops:
         pos = tape.cursor
@@ -362,15 +398,7 @@ def test_seeded_tape_reads_slices_of_the_expansion(seed, stream, total, ops):
 
 def test_seeded_tape_hashes_each_block_once(monkeypatch):
     blocks = []
-    real = hashlib.sha256
-
-    class CountingHashlib:
-        @staticmethod
-        def sha256(data):
-            blocks.append(int.from_bytes(data[16:], "big"))
-            return real(data)
-
-    monkeypatch.setattr(bitsampler, "hashlib", CountingHashlib)
+    monkeypatch.setattr(bitsampler, "hashlib", counting_hashlib(blocks))
     N, k = 1296, 75
     fisher_yates(BitTape.from_seed(1, N * k), N, k)
     assert blocks == list(range(-(-N * k // 256)))  # 380, each once, in order
@@ -382,11 +410,28 @@ def seeded_selections(draw):
     lead-bit take or skip on a tape of lead + N*k + extra bits.  A lead
     that is not a multiple of 256 starts the selection mid-block, and a
     negative extra leaves the tape too short for it."""
-    N = draw(st.integers(1, 30))
-    k, m = draw(st.integers(1, 300)), draw(st.integers(0, N))
+    N = draw(st.integers(1, 60))
+    k, m = draw(st.integers(1, 1000)), draw(st.integers(0, N))
     lead, lead_op = draw(st.integers(0, 1000)), draw(st.sampled_from(["take", "skip"]))
     extra = draw(st.integers(-N * k, 600))
     return N, k, m, lead, lead_op, extra, draw(st.integers(0, 2**64 - 1))
+
+
+GUARD_BITS = 64  # a draw's leading read is its range's bit length plus these
+
+
+def lead_bits(R, k):
+    """The bits a draw over R outputs reads first: all k when fewer than a
+    block's 256 would be left, else its range's bit length plus GUARD_BITS."""
+    c = R.bit_length() + GUARD_BITS
+    return k if k < c + 256 else c
+
+
+def read_spans(N, k, m, start):
+    """The bits each of a selection's m draws reads: its leading bits, which
+    a random tape settles on (a prefix leaves the output open with
+    probability below 2**-GUARD_BITS)."""
+    return [(start + j * k, start + j * k + lead_bits(N - j, k)) for j in range(m)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -395,24 +440,24 @@ def seeded_selections(draw):
 @example((7, 40, 0, 130, "take", 9, 5))  # m = 0: no draw, no block
 @example((5, 77, 5, 0, "take", 3, 5))  # the tape's total ends mid-block
 @example((4, 64, 2, 256, "skip", -1, 5))  # one bit short: refused
+@example((30, 129, 30, 0, "take", 0, 5))  # whole draws within the refill bound
+@example((40, 129, 40, 7, "take", 0, 5))  # whole draws past the refill bound
+@example((20, 900, 3, 10, "take", 0, 5))  # settled draws skip whole blocks
 def test_a_selection_refills_a_seeded_tape_once(case):
+    # A selection whose draws read whole and whose m*k bits fit the bound
+    # expands the seed at most once.  Every selection hashes each block once,
+    # in order, and only the blocks that hold bits a draw read.
     N, k, m, lead, lead_op, extra, seed = case
     total = lead + N * k + extra
     blocks, expansions = [], []
-    real_sha256, real_expand = hashlib.sha256, bitsampler.expand_seed_bits
-
-    class CountingHashlib:
-        @staticmethod
-        def sha256(data):
-            blocks.append(int.from_bytes(data[16:], "big"))
-            return real_sha256(data)
+    real_expand = bitsampler.expand_seed_bits
 
     def counting_expand(*args, **kwargs):
         expansions.append(args)
         return real_expand(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bitsampler, "hashlib", CountingHashlib)
+        mp.setattr(bitsampler, "hashlib", counting_hashlib(blocks))
         mp.setattr(bitsampler, "expand_seed_bits", counting_expand)
         tape = BitTape.from_seed(seed, total)
         getattr(tape, lead_op)(lead)
@@ -424,14 +469,92 @@ def test_a_selection_refills_a_seeded_tape_once(case):
             assert (blocks, expansions, tape.cursor) == ([], [], lead)
             return
         out = fisher_yates(tape, N, k, m)
-    end = lead + m * k
-    span = range(lead // 256, -(-end // 256)) if m else range(0)
-    assert blocks == [b for b in span if b not in hashed_before]
-    assert len(expansions) <= 1
+    spans = read_spans(N, k, m, lead)
+    read = {b for lo, hi in spans for b in range(lo // 256, -(-hi // 256))}
+    assert blocks == sorted(read - hashed_before)
+    if m * k <= 4096 and lead_bits(N - m + 1, k) == k:
+        assert len(expansions) <= 1
     reference = BitTape.from_seed(seed, total)
     reference.skip(lead)
     assert out == list_pop_fisher_yates(reference, N, k)[:m]
     assert tape.cursor == reference.cursor == lead + N * k
+
+
+@st.composite
+def lazy_draws(draw):
+    """(source, R, lo, k, lead, extra, seed, edge): one draw of k bits over
+    R outputs after ``lead`` skipped bits, on a tape with ``extra`` bits
+    after it, with k past the c leading bits the draw reads first and up to
+    the paper profile's k at n = 6.  The seed makes a seeded tape or a
+    literal tape's bits.
+    A "crafted" literal tape puts the c-bit prefix that holds the interval
+    edge ceil(2**k * edge / R) at the draw, so that prefix may leave the
+    output open."""
+    source = draw(st.sampled_from(["seeded", "literal", "crafted"]))
+    R = draw(st.one_of(st.integers(2, 5000), st.integers(2, 2**80)))
+    c = R.bit_length() + GUARD_BITS
+    k = draw(st.one_of(st.integers(c + 1, c + 1000), st.integers(c + 1, paper_k(1296))))
+    lead, extra = draw(st.integers(0, 600)), draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2**64 - 1))
+    edge = draw(st.integers(1, R - 1))
+    return source, R, draw(st.integers(0, 9)), k, lead, extra, seed, edge
+
+
+def lazy_draw_tape(source, R, k, lead, extra, seed, edge):
+    total = lead + k + extra
+    if source == "seeded":
+        return BitTape.from_seed(seed, total)
+    bits = random.Random(seed).getrandbits(total)
+    if source == "crafted":
+        c = R.bit_length() + GUARD_BITS
+        prefix = -(-(edge << k) // R) >> (k - c)
+        rest = lead + c
+        bits &= ~(((1 << c) - 1) << (total - rest))
+        bits |= prefix << (total - rest)
+    return BitTape(format(bits, f"0{total}b"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lazy_draws())
+@example(("crafted", 3, 0, 1_679_618, 300, 0, 5, 1))
+@example(("crafted", 3, 0, 2 + 64 + 256, 0, 0, 5, 1))  # the least k that skips
+@example(("crafted", 1296, 0, 1_679_618, 0, 17, 5, 648))  # R/2: settles
+@example(("seeded", 1296, 1, 1_679_618, 256, 0, 5, 1))
+def test_a_lazy_draw_is_the_full_k_read(case):
+    source, R, lo, k, lead, extra, seed, edge = case
+    c = R.bit_length() + GUARD_BITS
+    d = k - c
+    tape = lazy_draw_tape(source, R, k, lead, extra, seed, edge)
+    reference = lazy_draw_tape(source, R, k, lead, extra, seed, edge)
+    tape.skip(lead)
+    reference.skip(lead)
+    blocks, reads = [], []
+    real_take = BitTape.take
+
+    def recording_take(self, n):
+        reads.append(n)
+        return real_take(self, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitsampler, "hashlib", counting_hashlib(blocks))
+        mp.setattr(BitTape, "take", recording_take)
+        out = draw_integer(tape, lo, lo + R - 1, k)
+    assert out == full_read_draw(reference, lo, lo + R - 1, k)
+    assert tape.cursor == reference.cursor == lead + k
+    assert tape.take(extra) == reference.take(extra)
+    if k < c + 256:
+        assert reads == [k]  # too few bits past the leading ones to skip
+        return
+    settled = reads == [c]
+    assert settled or reads == [c, d]
+    if source == "crafted":
+        # The prefix leaves the output open iff the edge lies strictly
+        # inside the prefix's interval of r.
+        edge_r = -(-(edge << k) // R)
+        assert settled == (edge_r % (1 << d) == 0)
+    if source == "seeded":
+        read_end = lead + (c if settled else k)
+        assert blocks == list(range(lead // 256, -(-read_end // 256)))
 
 
 @st.composite
@@ -449,7 +572,7 @@ def test_partial_fisher_yates_is_the_full_pass_prefix(case):
     full = list_pop_fisher_yates(BitTape.from_seed(seed, N * k + extra), N, k)
     for tape in (
         BitTape.from_seed(seed, N * k + extra),
-        BitTape(expand_seed_bits(seed, N * k + extra)),
+        BitTape(expansion(seed, N * k + extra)),
     ):
         assert fisher_yates(tape, N, k, m) == full[:m]
         assert tape.cursor == N * k
@@ -497,7 +620,7 @@ def test_skip_has_the_bounds_check_of_take():
         tape.skip(11)
     assert tape.cursor == 0
     tape.skip(4)
-    assert tape.take(6) == int(expand_seed_bits(3, 10)[4:], 2)
+    assert tape.take(6) == expand_seed_bits(3, 10) & 0b111111
 
 
 def test_fisher_yates_refuses_more_entries_than_elements():

@@ -188,6 +188,14 @@ REPORT_DIGESTS = {
     ("density", "--oracle", "cube", "--ell", "5000", "--format", "csv"): (
         "4939f5552003a38a37722c01bfa88695db0cc41308b31c6fe361309fc4560143"
     ),
+    # The paper profile's draws read a few leading bits of k = N**2 + 2; these
+    # digests were written by draws that read all k bits.
+    ("sample", "--n", "4", "--k-profile", "paper", "--trials", "1000", "--seed", "11"): (
+        "85eb5ac28408082b4ce6c459182375c060381ca7852254133fc84a585b6d6a14"
+    ),
+    ("sample", "--n", "6", "--k-profile", "paper", "--trials", "1000", "--seed", "11"): (
+        "ac289733500d8705922b4e259a4633f44a4ce409c5d2650c1de7795623623c0d"
+    ),
 }
 
 

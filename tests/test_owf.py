@@ -124,7 +124,7 @@ def test_owf_smallest_feasible_input():
 
 
 def test_owf_frozen_vector():
-    w = expand_seed_bits(99, 600)
+    w = format(expand_seed_bits(99, 600), "0600b")
     assert w[:2] == "01"
     out = owf_evaluate(w, 1, "paper", alpha=8)
     assert [s.members for s in out.sets] == [(4,), (3,)]
@@ -134,10 +134,10 @@ def test_owf_frozen_vector():
 
 def test_owf_evaluate_is_the_same_from_a_cold_and_a_warm_cache():
     calls = [
-        (expand_seed_bits(99, 600), 1, "paper", 8),
-        ("1" + expand_seed_bits(4, 19_999), 2, "paper", 8),
-        (expand_seed_bits(5, 3000), 1, "practical", 8),
-        (expand_seed_bits(6, 5000), 3, "practical", None),
+        (format(expand_seed_bits(99, 600), "0600b"), 1, "paper", 8),
+        ("1" + format(expand_seed_bits(4, 19_999), "019999b"), 2, "paper", 8),
+        (format(expand_seed_bits(5, 3000), "03000b"), 1, "practical", 8),
+        (format(expand_seed_bits(6, 5000), "05000b"), 3, "practical", None),
     ]
 
     def evaluate_all():
@@ -168,7 +168,7 @@ def test_owf_equal_lengths_give_equal_shapes():
 def test_owf_tape_accounting():
     # bits_consumed is exactly the sum of the per-round costs of the actual
     # payload bits, and each round starts where the previous one stopped.
-    w = expand_seed_bits(123, 600)
+    w = format(expand_seed_bits(123, 600), "0600b")
     out = owf_evaluate(w, 1, "paper", alpha=8)
     expected = sum(
         round_consumption(int(c), out.params, "paper") for c in w[: out.n]
@@ -177,7 +177,7 @@ def test_owf_tape_accounting():
 
 
 def test_owf_tape_bits_never_change_shape():
-    w = expand_seed_bits(3, 600)
+    w = format(expand_seed_bits(3, 600), "0600b")
     out1 = owf_evaluate(w, 1, "paper", alpha=8)
     flipped = w[:300] + ("1" if w[300] == "0" else "0") + w[301:]
     out2 = owf_evaluate(flipped, 1, "paper", alpha=8)
@@ -199,7 +199,7 @@ def test_owf_reports_feasible_rounds_on_exhaustion():
 
 def test_owf_refuses_non_bit_words():
     # Payload and tape alike must be bits; a payload "2" is not a 0 bit.
-    tape = expand_seed_bits(5, 598)
+    tape = format(expand_seed_bits(5, 598), "0598b")
     assert owf_evaluate("10" + tape, 1, "paper", alpha=8).n == 2
     for w in ("22" + tape, "1 " + tape, "10" + tape[:-1] + "2"):
         with pytest.raises(ValueError, match="a tape is a string over 0/1"):
