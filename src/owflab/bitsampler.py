@@ -85,6 +85,7 @@ PERMUTATION_MAX_N = 6
 PERMUTATION_MAX_K = 64
 # A draw's leading read: the bits its range needs and these guard bits.
 _GUARD_BITS = 64
+_SKIP_MIN_BITS = 256  # a draw that would skip fewer bits, one block, reads all k
 _PREFILL_MAX_BITS = 4096  # the most a selection refills ahead of its draws
 
 
@@ -98,12 +99,13 @@ def practical_k(urn_size: int) -> int:
     return (urn_size - 1).bit_length() + 64
 
 
+K_PROFILES = {"paper": paper_k, "practical": practical_k}
+
+
 def profile_k(profile: str, urn_size: int) -> int:
-    if profile == "paper":
-        return paper_k(urn_size)
-    if profile == "practical":
-        return practical_k(urn_size)
-    raise ValueError(f"unknown k profile {profile!r}")
+    if profile not in K_PROFILES:
+        raise ValueError(f"unknown k profile {profile!r}")
+    return K_PROFILES[profile](urn_size)
 
 
 def _check_seed(seed: int, stream: int) -> None:
@@ -252,9 +254,9 @@ def draw_integer(tape: BitTape, lo: int, hi: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     R = hi - lo + 1
     c = R.bit_length() + _GUARD_BITS
-    if k < c + 256:
+    if k < c + _SKIP_MIN_BITS:
         return lo + ((tape.take(k) * R) >> k)
-    if k > tape._total - tape._cursor:
+    if k > tape.remaining():
         tape.skip(k)  # raises TapeExhausted before any bit is consumed
     p = tape.take(c)
     d = k - c
@@ -263,7 +265,7 @@ def draw_integer(tape: BitTape, lo: int, hi: int, k: int) -> int:
     # = floor((p*R + R - R / 2**d) / 2**c), and as p*R + R is an integer it
     # is the floor with R / 2**d rounded up: no k-bit number is built.
     if (pR + R + (-R >> d)) >> c == pR >> c:
-        tape._cursor += d  # the d bits are on the tape: checked above
+        tape.skip(d)
         return lo + (pR >> c)
     r = (p << d) | tape.take(d)
     return lo + ((r * R) >> k)
@@ -313,12 +315,13 @@ def fisher_yates(
     skipping the draws after the m-th; k defaults to the full budget
     N**2 + 2.
 
-    When every draw reads all its k bits (k is under the least range's bit
-    length plus 320, as at the practical profile), a seeded tape's window
-    is refilled ahead of the draws, ``_PREFILL_MAX_BITS`` bits at most, so
-    a selection whose m*k bits fit that bound refills once.  Otherwise each
-    read refills the window block by block, and a draw that settles on its
-    leading bits hashes no block past them."""
+    When there are two draws or more and each reads all its k bits (k is
+    under the least range's bit length plus 320, as at the practical
+    profile), a seeded tape's window is refilled ahead of the draws,
+    ``_PREFILL_MAX_BITS`` bits at most, so a selection whose m*k bits fit
+    that bound refills once.  Otherwise each read refills the window block
+    by block, and a draw that settles on its leading bits hashes no block
+    past them."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if k is None:
@@ -332,11 +335,12 @@ def fisher_yates(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
-    # Draws per refill of a seeded window ahead of them; none on a literal
-    # tape, which holds all its bits, or when a draw may skip bits, which a
-    # refill ahead would hash for nothing.
+    # Draws per refill of the window ahead of them (a literal tape's refill
+    # returns at once); none for a single draw, whose own read refills the
+    # same blocks, or when a draw may skip bits, which a refill ahead would
+    # hash for nothing.
     ahead = 0
-    if tape._bits is None and k < (N - m + 1).bit_length() + _GUARD_BITS + 256:
+    if m > 1 and k < (N - m + 1).bit_length() + _GUARD_BITS + _SKIP_MIN_BITS:
         ahead = max(1, _PREFILL_MAX_BITS // k)
     removed: list[int] = []  # the entries drawn so far, ascending
     out = []
@@ -435,6 +439,7 @@ __all__ = [
     "BIAS_PROFILE_MAX_K",
     "BiasProfile",
     "BitTape",
+    "K_PROFILES",
     "PermutationDistribution",
     "bias_profile",
     "draw_integer",

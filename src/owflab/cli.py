@@ -30,7 +30,7 @@ FLAG_TYPES = {
     "ell": (int, None),
     "trials": (int, None),
     "oracle": (str, None),
-    "k_profile": (str, ("paper", "practical")),
+    "k_profile": (str, tuple(bitsampler.K_PROFILES)),
     "format": (str, ("csv", "json")),
     "out": (str, None),
 }
@@ -186,18 +186,10 @@ def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
 
 
 def _cmd_verify_all(cfg: dict) -> tuple[dict, bool]:
-    # C7 runs the error experiment at --trials, with tape seeds seed + n for
-    # n up to 4 that must fit in 64 unsigned bits; refuse either before C1.
-    if cfg["trials"] < owf.MIN_TRIALS:
-        raise ValueError(f"the error experiment needs trials >= {owf.MIN_TRIALS}")
-    if not 0 <= cfg["seed"] <= 2**64 - 5:
-        raise ValueError("verify-all needs 0 <= seed <= 2**64 - 5")
     config = acceptance.VerifyConfig(
-        seed=cfg["seed"],
-        trials=cfg["trials"],
-        owf_trials=cfg["trials"],
-        k_profile=cfg["k_profile"],
+        seed=cfg["seed"], trials=cfg["trials"], k_profile=cfg["k_profile"]
     )
+    acceptance.check_config(config)  # refuses a bad seed or trials before C1
     results = []
     for crit in acceptance.CRITERIA:
         result = acceptance.run_criterion(crit.ident, config)

@@ -6,15 +6,18 @@ stays below the hit threshold and W most likely misses the target language;
 for b = 1 the urn is first thinned to n surviving elements, relative to
 which the same m exceeds the threshold and W most likely contains a member.
 Both branches emit sets of identical cardinality from the same index space,
-so the output's shape carries no information about the bit.  The
-evaluator's ``bits_consumed`` does: a b=1 round reads n*k(n) bits more than
-a b=0 round, so it gives away the payload's weight.
+so the output's shape carries no information about the bit.
 
 The evaluator splits its input word into n leading payload bits and a bit
 tape, then chains the per-bit sampler, handing each round the tape remainder
-of the previous one.  Everything downstream of the input word is
-deterministic, so equal inputs give equal outputs and equal input lengths
-give equal output shapes.
+of the previous one.  A round reads cost0 = N*k(N) bits for b = 0 and
+cost1 = cost0 + n*k(n) for b = 1, so an input needs
+
+    n*cost0 + weight(payload)*(cost1 - cost0)
+
+tape bits, its ``bits_consumed``, which gives away the payload's weight.
+Everything downstream of the input word is deterministic, so equal inputs
+give equal outputs and equal input lengths give equal output shapes.
 
 The hardness story this models is not asserted here: the experiments measure
 miss rates against exact hypergeometric values and report them.  The
@@ -31,7 +34,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .bitsampler import BitTape, profile_k, select_subset
+from .bitsampler import BitTape, paper_k, profile_k, select_subset
 from .errors import (
     DegenerateParameters,
     InvariantViolation,
@@ -82,21 +85,20 @@ class OwfOutput:
 
 
 def compute_n(ell: int, beta: int) -> int:
-    """Largest i with i**(6*beta) + 2*i**(2*beta) + i <= ell.
+    """Largest i with i + N*paper_k(N) <= ell, where N = i**(2*beta).
 
-    With N = i**(2*beta), i**(6*beta) + 2*i**(2*beta) = N*(N**2 + 2) is the
-    tape cost of one b=0 round at the paper k, so this budgets the i payload
-    bits and a single round.  The evaluator runs i rounds, so under the paper
-    profile most inputs cannot cover them all; ``owf_evaluate`` checks each
-    round's cost exactly."""
+    The budget is the i payload bits and one b=0 round at the paper k, not
+    the input's need n*cost0 + weight(payload)*(cost1 - cost0), so most
+    inputs under the paper profile cannot cover it; ``owf_evaluate`` checks
+    that need before any round."""
     if beta < 1:
         raise ValueError("beta must be >= 1")
     if ell < 4:
         raise ValueError("inputs must have length >= 4 (the i = 1 cost)")
-    i = 1
-    while (i + 1) ** (6 * beta) + 2 * (i + 1) ** (2 * beta) + (i + 1) <= ell:
+    i = 2
+    while i + (N := i ** (2 * beta)) * paper_k(N) <= ell:
         i += 1
-    return i
+    return i - 1
 
 
 class _Round(NamedTuple):
@@ -186,11 +188,9 @@ def owf_evaluate(
 ) -> OwfOutput:
     """Evaluate the bit encoder on input word w = payload || tape.
 
-    Deterministic in w.  Raises TapeExhausted with the number of completable
-    rounds (``feasible_rounds``) when the tape cannot cover all n rounds.
-    ``compute_n`` budgets the tape of one b=0 round at the paper k, N*k(N)
-    bits, but the evaluator runs n rounds; a b=1 round adds only n*k(n)
-    bits to that.  So feasibility is checked exactly, before each round.
+    Deterministic in w.  The input needs n*cost0 + weight(payload)*(cost1 -
+    cost0) tape bits, its ``bits_consumed``; when the tape holds fewer,
+    TapeExhausted is raised before any round.
     """
     ell = len(w)
     n = compute_n(ell, beta)
@@ -198,21 +198,18 @@ def owf_evaluate(
     tape = BitTape(w)  # refuses a word with any character other than 0/1
     payload = tape.take(n)
     rnd = _round(n, params.N, k_profile)
+    need = n * rnd.cost0 + payload.bit_count() * (rnd.cost1 - rnd.cost0)
+    if tape.remaining() < need:
+        raise TapeExhausted(
+            f"payload {payload:0{n}b} needs {need} tape bits, "
+            f"the input has {tape.remaining()}"
+        )
     sets = []
     for i in range(n):
         b = payload >> (n - 1 - i) & 1
-        if tape.remaining() < rnd.cost(b):
-            exc = TapeExhausted(
-                f"round {i + 1} of {n} (b={b}) would overrun the tape; "
-                f"{i} rounds are feasible for this input"
-            )
-            exc.feasible_rounds = i
-            raise exc
         instance, tape = ptsamp(b, n, tape, params, k_profile)
         sets.append(instance)
-    return OwfOutput(
-        sets=tuple(sets), n=n, bits_consumed=tape.cursor - n, params=params
-    )
+    return OwfOutput(sets=tuple(sets), n=n, bits_consumed=tape.cursor - n, params=params)
 
 
 def hit_test(instance: InstanceSet, oracle: LanguageOracle) -> bool:

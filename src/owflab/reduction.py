@@ -85,7 +85,6 @@ TRANSFER_BUDGET = 2**20  # largest limit density_transfer_check enumerates
 
 @dataclass(frozen=True)
 class TransferPoint:
-    threshold: Word
     source_count: int
     image_count: int
 
@@ -140,5 +139,5 @@ def density_transfer_check(
         phi_w = reduce_phi(w, code, lam).value
         source_count = bisect_right(member_values, wv)
         image_count = bisect_right(member_images, phi_w)
-        points.append(TransferPoint(w, source_count, image_count))
+        points.append(TransferPoint(source_count, image_count))
     return TransferReport(tuple(points))

@@ -186,7 +186,6 @@ class SamplerParams:
     """
 
     n: int
-    beta: int
     alpha: Fraction
     N: int
     m: int
@@ -232,7 +231,6 @@ def sampler_params(
     m = iroot(mu**a // N**b, a)[0] if mu > 0 else 0
     return SamplerParams(
         n=n,
-        beta=beta,
         alpha=alpha,
         N=N,
         m=max(1, m),

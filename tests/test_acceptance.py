@@ -5,7 +5,7 @@ import pytest
 
 from owflab.acceptance import CRITERIA, VerifyConfig, run_criterion
 
-CONFIG = VerifyConfig(seed=1, trials=10_000, owf_trials=10_000, k_profile="practical")
+CONFIG = VerifyConfig(seed=1, trials=10_000, k_profile="practical")
 
 
 # The details of the criteria that do not depend on the seed.

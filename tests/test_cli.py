@@ -256,7 +256,7 @@ def test_csv_and_json_carry_the_same_rows(tmp_path, monkeypatch, args, tables):
 def test_criterion_detail_survives_csv():
     detail = 'max "41" of 41, 0 failures'
     result = acceptance.CriterionResult("C0", "quoted", False, detail, 0.0, 1.0)
-    config = acceptance.VerifyConfig(seed=3, trials=7, owf_trials=7)
+    config = acceptance.VerifyConfig(seed=3, trials=7)
     fields = acceptance.report_fields([result], config)
     text = report.render("csv", "verify-all", fields, timestamp=False)
     assert text.splitlines()[0] == (
@@ -466,7 +466,7 @@ def test_verify_all_refuses_an_out_of_range_seed_before_any_criterion(
 
 
 def test_the_largest_verify_all_seed_runs_every_seeded_criterion():
-    config = acceptance.VerifyConfig(seed=2**64 - 5, trials=1000, owf_trials=10)
+    config = acceptance.VerifyConfig(seed=2**64 - 5, trials=1000)
     for ident in ("C7", "C8", "C10"):
         assert acceptance.run_criterion(ident, config).passed, ident
 

@@ -4,12 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from owflab import owf
-from owflab.bitsampler import BitTape, expand_seed_bits
+from owflab.bitsampler import BitTape, expand_seed_bits, profile_k
 from owflab.errors import (
     DegenerateParameters,
     InvariantViolation,
@@ -27,7 +30,8 @@ from owflab.owf import (
     round_consumption,
     sampling_error_experiment,
 )
-from owflab.threshold import sampler_params
+from owflab.threshold import hit_probability, sampler_params
+from owflab.words import goedel_inverse
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -185,16 +189,50 @@ def test_owf_tape_bits_never_change_shape():
     assert out1.params == out2.params
 
 
-def test_owf_reports_feasible_rounds_on_exhaustion():
-    # At the lower edge of the n = 2 band the tape covers one round only.
-    w = "0" * 74
-    with pytest.raises(TapeExhausted) as info:
+# (beta, n) -> an interval of input lengths ell with compute_n(ell, beta) == n.
+N_BANDS = {
+    (1, 2): (74, 749),
+    (1, 3): (750, 4131),
+    (1, 4): (4132, 15679),
+    (2, 2): (4130, 10**6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    band=st.sampled_from(sorted(N_BANDS)),
+    k_profile=st.sampled_from(["paper", "practical"]),
+    payload=st.integers(0, 15),
+    slack=st.integers(0, 400),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_owf_bits_consumed_is_the_input_need(band, k_profile, payload, slack, seed):
+    beta, n = band
+    lo, hi = N_BANDS[band]
+    N = n ** (2 * beta)
+    cost0 = N * profile_k(k_profile, N)
+    cost1 = cost0 + n * profile_k(k_profile, n)
+    payload %= 2**n
+    weight = bin(payload).count("1")
+    need = n * cost0 + weight * (cost1 - cost0)
+    ell = max(lo, n + need) + slack
+    assume(ell <= hi)
+    w = format(payload, f"0{n}b") + format(expand_seed_bits(seed, ell - n), f"0{ell - n}b")
+    out = owf_evaluate(w, beta, k_profile, alpha=8)
+    assert (out.n, out.bits_consumed) == (n, need)
+
+
+@pytest.mark.parametrize(
+    "w, need",
+    [("0" * 74, 2 * 72), ("1" + "0" * 73, 72 + 84)],  # the n = 2 band's lower edge
+    ids=["weight-0", "weight-1"],
+)
+def test_owf_refuses_an_infeasible_input_before_any_round(monkeypatch, w, need):
+    calls = []
+    monkeypatch.setattr(owf, "ptsamp", lambda *args: calls.append(args))
+    with pytest.raises(TapeExhausted, match=f"needs {need} tape bits, the input has 72$"):
         owf_evaluate(w, 1, "paper", alpha=8)
-    assert info.value.feasible_rounds == 1
-    w = "1" + "0" * 73  # the b=1 round alone overruns
-    with pytest.raises(TapeExhausted) as info:
-        owf_evaluate(w, 1, "paper", alpha=8)
-    assert info.value.feasible_rounds == 0
+    assert calls == []
 
 
 def test_owf_refuses_non_bit_words():
@@ -234,6 +272,23 @@ def test_experiment_refuses_an_infeasible_cell_before_any_work():
     message = "m=7 exceeds the thinned urn size n=4"
     with pytest.raises(DegenerateParameters, match=message):
         sampling_error_experiment(4, 3, oracle, 1000, 1)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_criterion_value_has_expectation_one(n):
+    # The b=1 branch's thinned urn holds g good elements with probability
+    # Hyp(g; N, good, n); averaged over g, its exact miss probability is the
+    # b=0 branch's 1 - Pr(Q_m), so E[miss0 + miss1] = 1 (Vandermonde).
+    params = sampler_params(n, 2, alpha=8)
+    N, m = params.N, params.m
+    member = power_oracle(2).member
+    good = sum(member(goedel_inverse(i)) for i in range(1, N + 1))
+    expected_miss1 = sum(
+        Fraction(math.comb(good, g) * math.comb(N - good, n - g), math.comb(N, n))
+        * (1 - hit_probability(n, g, m))
+        for g in range(min(good, n) + 1)
+    )
+    assert expected_miss1 == 1 - hit_probability(N, good, m)
 
 
 def test_experiment_report_consistency():

@@ -438,3 +438,28 @@ def test_no_unused_imports():
         *sorted((ROOT / "demos").glob("*.py")),
     ]
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _slot_uses(path: Path, owner: str, slots: set[str]) -> list[str]:
+    """Each attribute access to one of ``slots`` outside ``class owner``."""
+    uses = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            return
+        if isinstance(node, ast.Attribute) and node.attr in slots:
+            uses.append(f"{path.name}:{node.lineno}: {node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(_parse(path))
+    return uses
+
+
+def test_only_bittape_touches_its_state():
+    from owflab.bitsampler import BitTape
+
+    slots = set(BitTape.__slots__)
+    assert slots == {"_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end"}
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [use for path in paths for use in _slot_uses(path, "BitTape", slots)] == []

@@ -257,7 +257,7 @@ def test_derive_constants():
 
 def draw_count(params):
     """(m, degenerate, mu_lower) of the sampler's draw count."""
-    mu_lower = mu_bounds_exact(params.N, params.n**params.beta).lower
+    mu_lower = mu_bounds_exact(params.N, math.isqrt(params.N)).lower  # n**beta
     return params.m, params.m_degenerate, mu_lower
 
 
