@@ -43,16 +43,24 @@ Every read is ``take(k)``, which returns the next k bits as an integer,
 most significant first.  A literal tape slices them from its string.
 Because block i depends only on (seed, stream, i), a seeded tape holds
 (seed, stream, total) and an integer window that ends on a block boundary;
-a read is a shift and a mask.  A read that runs past the window's end
-refills it: it keeps the window's unread bits and ORs in, under them, just
-the blocks from the first one not yet hashed (or the one holding the cursor)
-through the one holding the read's last bit, so each block is hashed once
-per tape and a block that only skipped bits fall in is never hashed.
-``skip(k)`` advances the cursor past k bits without reading them, with the
-same bounds check as ``take``; either way every bit position is consumed at
-most once.  A shift costs time in proportion to the window's size, so the
-window stays bounded: a read refills block by block, and a selection
-refills ahead by at most 4096 bits.
+a read is a shift and a mask.  ``skip(k)`` advances the cursor past k bits
+without reading them, with the same bounds check as ``take``; either way
+every bit position is consumed at most once.
+
+The read plan.  A read that runs past the window's end refills it: the
+tape keeps the window's unread bits and ORs in, under them, the blocks
+from the first one not yet hashed (or the one holding the cursor) through
+the one holding the read's last bit, so each block is hashed once per tape
+and a block that only skipped bits fall in is never hashed.  A shift costs
+time in proportion to the window's size, so a read refills only the blocks
+it needs, unless a caller has said which bits it will read: ``will_read(n)``
+plans a read of the next n bits, and a refill within that plan runs ahead
+to its end, 4096 bits past the cursor at most.  A selection whose draws all
+read whole plans its m*k bits: if they fit that bound it expands the seed
+at most once, and either way it hashes the same blocks, in the same order,
+as draw-by-draw refills would.  A selection whose draws may skip bits plans
+nothing.  A plan needs no reset: once the cursor reaches its end, reads
+refill only what they need again.
 
 A Fisher-Yates pass draws positions from ranges N, N-1, ..., 1, consuming
 exactly k bits per draw (the final size-1 draw included, so a permutation
@@ -61,11 +69,7 @@ only: it makes those m draws, finds each entry as the idx-th survivor of
 {1..N} with the earlier entries removed (an order statistic, found by a
 binary search over the sorted removed list, Knuth TAOCP 3.4.2), and skips
 the (N-m)*k bits the remaining draws would have read, so outputs and cursor
-match the full pass.  When every one of its draws reads whole, a selection
-on a seeded tape refills the window ahead of its draws, at most 4096 bits
-at a time: a selection whose m*k bits fit that bound expands the seed at
-most once, and either way it hashes the same blocks, in the same order, as
-draw-by-draw refills would.  The construction's own budget is k = N**2 + 2 (profile
+match the full pass.  The construction's own budget is k = N**2 + 2 (profile
 name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps large
 experiments feasible at a correspondingly looser per-draw bias bound.
 """
@@ -86,7 +90,7 @@ PERMUTATION_MAX_K = 64
 # A draw's leading read: the bits its range needs and these guard bits.
 _GUARD_BITS = 64
 _SKIP_MIN_BITS = 256  # a draw that would skip fewer bits, one block, reads all k
-_PREFILL_MAX_BITS = 4096  # the most a selection refills ahead of its draws
+_PREFILL_MAX_BITS = 4096  # the most a planned refill runs ahead of the cursor
 
 
 def paper_k(urn_size: int) -> int:
@@ -142,14 +146,13 @@ class BitTape:
     ``take`` reads bits [cursor, cursor+k).  A literal tape reads them from
     its string, ``_bits``, and never refills.  A seeded tape keeps (seed,
     stream, total) and an integer window, ``_window``, whose low bits are
-    the tape's bits up to position ``_end``, a block boundary; a read is a
-    shift and a mask.  ``_refill`` extends the window when a read runs past
-    its end: it keeps the unread bits and ORs the fresh blocks in under
-    them, so each block is hashed once per tape.  A shift costs time in
-    proportion to the window's size, so reads refill block by block and
-    only ``fisher_yates`` refills ahead, by at most ``_PREFILL_MAX_BITS``."""
+    the tape's bits up to position ``_end``, a block boundary; ``_plan`` is
+    the end of the read that ``will_read`` last announced.  How a read
+    refills the window is the module docstring's read plan."""
 
-    __slots__ = ("_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end")
+    __slots__ = (
+        "_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end", "_plan"
+    )
 
     def __init__(self, bits: str):
         # int(s, 2) would also accept "_", whitespace, a sign, "0b" and
@@ -160,7 +163,7 @@ class BitTape:
         self._total = len(bits)
         self._cursor = 0
         self._bits: str | None = bits
-        self._window = 0
+        self._window = self._plan = 0
         self._end = len(bits)
 
     @classmethod
@@ -170,7 +173,7 @@ class BitTape:
             raise ValueError("a tape cannot have a negative length")
         tape = cls.__new__(cls)  # no literal string to check
         tape._seed, tape._stream, tape._total, tape._cursor = seed, stream, nbits, 0
-        tape._bits, tape._window, tape._end = None, 0, 0
+        tape._bits, tape._window, tape._end, tape._plan = None, 0, 0, 0
         return tape
 
     @property
@@ -201,19 +204,19 @@ class BitTape:
         self._cursor = end
         return (self._window >> (self._end - end)) & ((1 << k) - 1)
 
-    def _refill(self, end: int) -> None:
-        """Make the window cover bits [cursor, end), a read of at least one
-        bit that fits the tape.
+    def will_read(self, k: int) -> None:
+        """Plan a read of the next k bits, which lets a refill run ahead."""
+        self._plan = self._cursor + k
 
-        A literal tape's ``_end`` is its length, so it never needs more.
-        Keep the unread bits, hash the blocks from the first one not yet
-        hashed (or the one holding the cursor, past a skip) through the one
-        holding bit end - 1."""
+    def _refill(self, end: int) -> None:
+        """Extend the window past its end to cover bits [cursor, end), and
+        the planned bits up to 4096 past the cursor: keep the unread bits
+        and hash the blocks from the first one not yet hashed (or the one
+        holding the cursor, past a skip) on."""
         start, old_end = self._cursor, self._end
-        if end <= old_end:
-            return
         fresh = max(old_end, start - start % 256)
-        stop = -(-end // 256) * 256
+        ahead = min(self._plan, start + _PREFILL_MAX_BITS, self._total)
+        stop = -(-max(end, ahead) // 256) * 256
         kept = self._window & ((1 << (old_end - start)) - 1) if start < old_end else 0
         self._window = (kept << (stop - fresh)) | expand_seed_bits(
             self._seed, stop - fresh, self._stream, fresh
@@ -313,15 +316,8 @@ def fisher_yates(
     selection sampling: the j-th entry is drawn from the N-j remaining
     elements with one k-bit draw.  Consumes exactly N*k bits whatever m is,
     skipping the draws after the m-th; k defaults to the full budget
-    N**2 + 2.
-
-    When there are two draws or more and each reads all its k bits (k is
-    under the least range's bit length plus 320, as at the practical
-    profile), a seeded tape's window is refilled ahead of the draws,
-    ``_PREFILL_MAX_BITS`` bits at most, so a selection whose m*k bits fit
-    that bound refills once.  Otherwise each read refills the window block
-    by block, and a draw that settles on its leading bits hashes no block
-    past them."""
+    N**2 + 2.  When every draw reads whole, the selection plans its m*k bits
+    on the tape (the module docstring's read plan)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if k is None:
@@ -335,18 +331,13 @@ def fisher_yates(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
-    # Draws per refill of the window ahead of them (a literal tape's refill
-    # returns at once); none for a single draw, whose own read refills the
-    # same blocks, or when a draw may skip bits, which a refill ahead would
-    # hash for nothing.
-    ahead = 0
-    if m > 1 and k < (N - m + 1).bit_length() + _GUARD_BITS + _SKIP_MIN_BITS:
-        ahead = max(1, _PREFILL_MAX_BITS // k)
+    # Every draw reads whole when even the least range, N - m + 1, would
+    # leave fewer than _SKIP_MIN_BITS bits to skip.
+    if k < (N - m + 1).bit_length() + _GUARD_BITS + _SKIP_MIN_BITS:
+        tape.will_read(m * k)
     removed: list[int] = []  # the entries drawn so far, ascending
     out = []
     for j in range(m):
-        if ahead and not j % ahead:
-            tape._refill(tape.cursor + min(ahead, m - j) * k)
         # The idx-th survivor (from 0) is t = idx + 1 shifted up by the count
         # of removed entries at or below it.  That count is the number of
         # positions p with removed[p] - p <= t, and removed[p] - p never

@@ -26,6 +26,9 @@ from .errors import BudgetError
 from .words import Word, goedel_inverse, iroot, word_value
 
 ENUMERATION_BUDGET = 10_000_000
+# A member test builds 2**r.  Below 2**64, beyond any word a scan or an urn
+# reaches, no r-th power but 1 exists for r >= 64, so a larger r adds only cost.
+POWER_MAX_R = 64
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def power_oracle(r: int) -> LanguageOracle:
     floor((x/5)**(1/r)) because gn(y) <= 5y, which stays above
     (1/2) * (x/5)**(1/r) once x >= 5 * 2**r; hence d**r = 1/(5 * 2**r).
     """
-    if r < 2:
-        raise ValueError("power oracles need r >= 2")
+    if not 2 <= r <= POWER_MAX_R:
+        raise ValueError(f"power oracles need 2 <= r <= {POWER_MAX_R}")
 
     def member(w: Word) -> bool:
         return w[:1] == "1" and iroot(word_value(w), r)[1] == 0

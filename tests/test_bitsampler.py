@@ -404,6 +404,38 @@ def test_seeded_tape_hashes_each_block_once(monkeypatch):
     assert blocks == list(range(-(-N * k // 256)))  # 380, each once, in order
 
 
+@pytest.mark.parametrize("N, k", [(1296, 75), (4096, 76)])
+def test_whole_draws_refill_a_seeded_tape_in_chunks(monkeypatch, N, k):
+    # A full permutation of whole draws refills up to 4096 bits ahead, so a
+    # refill is followed by at least 4096 - k bits of reads; block-by-block
+    # refills would expand the seed about N*k / 256 times (380 and 1216).
+    expansions = []
+    real_expand = bitsampler.expand_seed_bits
+
+    def counting_expand(*args, **kwargs):
+        expansions.append(args)
+        return real_expand(*args, **kwargs)
+
+    monkeypatch.setattr(bitsampler, "expand_seed_bits", counting_expand)
+    tape = BitTape.from_seed(1, N * k)
+    fisher_yates(tape, N, k)
+    assert tape.cursor == N * k
+    assert len(expansions) <= -(-N * k // (4096 - k)) + 1
+    assert sum(args[1] for args in expansions) == -(-N * k // 256) * 256
+
+
+def test_a_plan_refills_no_block_past_the_tape(monkeypatch):
+    want = int(expansion(1, 300), 2)
+    blocks = []
+    monkeypatch.setattr(bitsampler, "hashlib", counting_hashlib(blocks))
+    tape = BitTape.from_seed(1, 300)
+    tape.will_read(10**6)
+    assert tape.take(1) == want >> 299
+    assert blocks == [0, 1]  # the plan runs ahead to the tape's end, not past
+    assert tape.take(299) == want & ((1 << 299) - 1)
+    assert blocks == [0, 1]
+
+
 @st.composite
 def seeded_selections(draw):
     """(N, k, m, lead, lead_op, extra, seed): a selection that follows a

@@ -87,6 +87,13 @@ def test_malformed_power_oracle_is_named(capsys):
     assert capsys.readouterr().err == "unknown oracle 'power:x'\n"
 
 
+@pytest.mark.parametrize("command", ["density", "sample"])
+def test_power_oracle_degree_past_the_bound_is_usage_error(capsys, command):
+    # power:R builds 2**R per member test; R = 10**6 took 20 s at --ell 10000.
+    assert run_cli([command, "--oracle", "power:1000000", "--out", "-"]) == 2
+    assert capsys.readouterr() == ("", "owflab: power oracles need 2 <= r <= 64\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run_cli(["frobnicate"]) == 2
 

@@ -10,6 +10,7 @@ from owflab.cli import main
 from owflab.errors import BudgetError
 from owflab.languages import (
     EMPTY,
+    POWER_MAX_R,
     SIGMA_STAR,
     SQ,
     LanguageOracle,
@@ -131,6 +132,14 @@ def test_power_oracle_cubes():
     assert p3.beta == 3
     with pytest.raises(ValueError):
         power_oracle(1)
+
+
+def test_power_oracle_degree_is_bounded():
+    top = power_oracle(POWER_MAX_R)
+    assert top.member("1") and top.member(min_word(2**POWER_MAX_R))
+    assert not top.member(min_word(2**POWER_MAX_R - 1))
+    with pytest.raises(ValueError, match=f"2 <= r <= {POWER_MAX_R}"):
+        power_oracle(POWER_MAX_R + 1)
 
 
 def test_power_oracle_is_fast_and_exact_past_float_roots():

@@ -440,14 +440,14 @@ def test_no_unused_imports():
     assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
-def _slot_uses(path: Path, owner: str, slots: set[str]) -> list[str]:
-    """Each attribute access to one of ``slots`` outside ``class owner``."""
+def _private_uses(path: Path, owner: str, names: set[str]) -> list[str]:
+    """Each attribute access to one of ``names`` outside ``class owner``."""
     uses = []
 
     def visit(node: ast.AST) -> None:
         if isinstance(node, ast.ClassDef) and node.name == owner:
             return
-        if isinstance(node, ast.Attribute) and node.attr in slots:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             uses.append(f"{path.name}:{node.lineno}: {node.attr}")
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -457,9 +457,18 @@ def _slot_uses(path: Path, owner: str, slots: set[str]) -> list[str]:
 
 
 def test_only_bittape_touches_its_state():
+    # Neither a slot nor a private method of BitTape is used outside it.
     from owflab.bitsampler import BitTape
 
     slots = set(BitTape.__slots__)
-    assert slots == {"_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end"}
+    methods = {
+        name for name, value in vars(BitTape).items()
+        if callable(value) and name.startswith("_") and not name.startswith("__")
+    }
     paths = sorted(PACKAGE.glob("*.py"))
-    assert [use for path in paths for use in _slot_uses(path, "BitTape", slots)] == []
+    names = slots | methods
+    assert [use for path in paths for use in _private_uses(path, "BitTape", names)] == []
+    assert methods == {"_refill"}
+    assert slots == {
+        "_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end", "_plan"
+    }
