@@ -61,21 +61,36 @@ def _criterion_1(config: VerifyConfig) -> tuple[bool, str]:
     return bad == 0, f"{top} indices and all words of length <= 16; {bad} failures"
 
 
+def _first_walk_mismatch(jumps: list[int], limit: int) -> int | None:
+    """First x in [1, limit] where dens counted from the square walk's jumps
+    differs from density_scan's count over SQ, or None."""
+    walked = 0
+    for x, dens in languages.density_scan(languages.SQ, limit):
+        if walked < len(jumps) and jumps[walked] == x:
+            walked += 1
+        if dens != walked:
+            return x
+    return None
+
+
 def _criterion_2(config: VerifyConfig) -> tuple[bool, str]:
-    upper_bad = 0
-    for x, dens in languages.density_scan(languages.SQ, 10**5):
-        if not languages.upper_bound_holds(x, dens):
-            upper_bad += 1
+    # The ceiling at the jumps of dens, cross-checked against the scan below
+    # 2**12; see the languages module docstring.
+    jumps = list(languages.power_jumps(2, 10**5))
+    upper_bad = languages.ceiling_violations(jumps, 10**5)
+    mismatch = _first_walk_mismatch(jumps, 2**12)
     ratio_bad = 0
     for y in range(1, 10**6 + 1):
         g = words.gn_of_integer(y)
         if not y <= g <= 5 * y:
             ratio_bad += 1
-    ok = upper_bad == 0 and ratio_bad == 0
-    return ok, (
+    detail = (
         f"dens_sq <= floor(sqrt(x)) on [1, 1e5]: {upper_bad} violations; "
         f"gn(y)/y in [1, 5] on [1, 1e6]: {ratio_bad} violations"
     )
+    if mismatch is not None:
+        detail += f"; square walk and density scan differ first at x = {mismatch}"
+    return upper_bad == 0 and ratio_bad == 0 and mismatch is None, detail
 
 
 def _criterion_3(config: VerifyConfig) -> tuple[bool, str]:

@@ -118,12 +118,11 @@ ORACLES = {
 def _resolve_oracle(name: str) -> languages.LanguageOracle:
     if name in ORACLES:
         return ORACLES[name]()
-    if name.startswith("power:"):
-        try:
-            r = int(name.split(":", 1)[1])
-        except ValueError:
-            raise SystemExit(f"unknown oracle {name!r}") from None
-        return languages.power_oracle(r)
+    # R is ASCII digits without a leading zero, so that one oracle has one
+    # spelling: int() alone would also take "0_3", "+3", "03" and " 3".
+    prefix, _, degree = name.partition(":")
+    if prefix == "power" and degree.isascii() and degree.isdigit() and degree[0] != "0":
+        return languages.power_oracle(int(degree))
     raise SystemExit(f"unknown oracle {name!r}")
 
 

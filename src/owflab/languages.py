@@ -10,6 +10,16 @@ counting padded variants such as "0100" as well would break the sqrt(x)
 ceiling that the density argument rests on.  SIGMA_STAR and EMPTY are the
 full and the empty language.
 
+For an r-th power oracle dens is a step function: its jumps are the Goedel
+indices gn(y**r), y = 1, 2, ..., which ``power_jumps`` walks in increasing
+order.  Since sqrt(x) grows and dens is constant between jumps, dens = j on
+[g_j, g_{j+1}) and the ceiling fails there exactly for x < j**2, so
+``ceiling_violations`` counts the failures on [1, X] step by step.
+verify-all's C2 checks the squares to 10**5 in 185 such steps and
+cross-checks the walk against ``density_scan`` on [1, 2**12].
+``density_scan`` is the generic enumeration for any oracle, and
+``owflab density`` runs it.
+
 Lower-bound constants are carried as the exact rational d**beta so that every
 bound check is an integer comparison (d itself is typically irrational for
 power oracles).
@@ -17,13 +27,14 @@ power oracles).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError
-from .words import Word, goedel_inverse, iroot, word_value
+from .words import Word, gn_of_integer, goedel_inverse, iroot, word_value
 
 ENUMERATION_BUDGET = 10_000_000
 # A member test builds 2**r.  Below 2**64, beyond any word a scan or an urn
@@ -54,6 +65,11 @@ class LanguageOracle:
         return float(self.d_pow_beta) ** (1.0 / self.beta)
 
 
+def _check_degree(r: int) -> None:
+    if not 2 <= r <= POWER_MAX_R:
+        raise ValueError(f"power oracles need 2 <= r <= {POWER_MAX_R}")
+
+
 def power_oracle(r: int) -> LanguageOracle:
     """Oracle for minimal-form r-th powers, with beta = r.
 
@@ -63,8 +79,7 @@ def power_oracle(r: int) -> LanguageOracle:
     floor((x/5)**(1/r)) because gn(y) <= 5y, which stays above
     (1/2) * (x/5)**(1/r) once x >= 5 * 2**r; hence d**r = 1/(5 * 2**r).
     """
-    if not 2 <= r <= POWER_MAX_R:
-        raise ValueError(f"power oracles need 2 <= r <= {POWER_MAX_R}")
+    _check_degree(r)
 
     def member(w: Word) -> bool:
         return w[:1] == "1" and iroot(word_value(w), r)[1] == 0
@@ -110,6 +125,27 @@ def density_scan(oracle: LanguageOracle, limit: int) -> Iterator[tuple[int, int]
         if member(goedel_inverse(x)):
             count += 1
         yield x, count
+
+
+def power_jumps(r: int, limit: int) -> Iterator[int]:
+    """Yield the Goedel indices <= limit of ``power_oracle(r)``'s members,
+    gn(y**r) for y = 1, 2, ...; they increase with y, so these are the
+    jumps of dens in order."""
+    _check_degree(r)
+    y = 1
+    while (g := gn_of_integer(y**r)) <= limit:
+        yield g
+        y += 1
+
+
+def ceiling_violations(jumps: Iterable[int], limit: int) -> int:
+    """Count the x in [1, limit] with dens(x) > sqrt(x), where ``jumps`` are
+    the increasing member indices <= limit: dens = j on [g_j, g_{j+1}), and
+    there the ceiling fails exactly for x < j**2."""
+    steps = itertools.pairwise(itertools.chain(jumps, (limit + 1,)))
+    return sum(
+        max(0, min(end, j * j) - start) for j, (start, end) in enumerate(steps, 1)
+    )
 
 
 def lower_bound_holds(oracle: LanguageOracle, x: int, dens: int) -> bool:

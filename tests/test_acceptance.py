@@ -3,6 +3,7 @@ tolerance, one pass/fail line each (run with -s to watch them stream)."""
 
 import pytest
 
+from owflab import languages
 from owflab.acceptance import CRITERIA, VerifyConfig, run_criterion
 
 CONFIG = VerifyConfig(seed=1, trials=10_000, k_profile="practical")
@@ -47,4 +48,19 @@ def test_criterion(ident):
     assert result.elapsed <= result.limit, (
         f"{ident} exceeded its wall-clock budget: "
         f"{result.elapsed:.1f}s > {result.limit:.0f}s"
+    )
+
+
+@pytest.mark.parametrize("dropped", [12, 4073])  # gn(2**2) and gn(45**2)
+def test_c2_fails_when_the_square_walk_misses_the_scan(monkeypatch, dropped):
+    walk = languages.power_jumps
+
+    def lossy_walk(r, limit):
+        return (g for g in walk(r, limit) if g != dropped)
+
+    monkeypatch.setattr(languages, "power_jumps", lossy_walk)
+    result = run_criterion("C2", CONFIG)
+    assert not result.passed
+    assert result.detail == (
+        f"{DETAILS['C2']}; square walk and density scan differ first at x = {dropped}"
     )

@@ -87,6 +87,15 @@ def test_malformed_power_oracle_is_named(capsys):
     assert capsys.readouterr().err == "unknown oracle 'power:x'\n"
 
 
+@pytest.mark.parametrize("degree", ["0_3", "+3", "03", " 3"])
+def test_power_oracle_degree_has_one_spelling(capsys, degree):
+    # int() reads each of these as 3, so a report would name the cube
+    # oracle by a spelling of its own.
+    name = f"power:{degree}"
+    assert run_cli(["density", "--oracle", name, "--ell", "10", "--format", "json"]) == 2
+    assert capsys.readouterr() == ("", f"unknown oracle {name!r}\n")
+
+
 @pytest.mark.parametrize("command", ["density", "sample"])
 def test_power_oracle_degree_past_the_bound_is_usage_error(capsys, command):
     # power:R builds 2**R per member test; R = 10**6 took 20 s at --ell 10000.

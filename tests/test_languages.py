@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from owflab.cli import main
 from owflab.errors import BudgetError
@@ -14,12 +16,15 @@ from owflab.languages import (
     SIGMA_STAR,
     SQ,
     LanguageOracle,
+    ceiling_violations,
     density_csv_rows,
     density_scan,
     intersect,
+    power_jumps,
     power_oracle,
+    upper_bound_holds,
 )
-from owflab.words import gn_of_integer, iroot, min_word
+from owflab.words import gn_of_integer, goedel_number, iroot, min_word
 
 
 def density(oracle, x):
@@ -28,6 +33,16 @@ def density(oracle, x):
     for _, dens in density_scan(oracle, x):
         pass
     return dens
+
+
+def scan_jumps(oracle, limit):
+    """The x where a scan's dens steps up: its members' indices <= limit."""
+    jumps, prev = [], 0
+    for x, dens in density_scan(oracle, limit):
+        if dens > prev:
+            jumps.append(x)
+        prev = dens
+    return jumps
 
 
 def density_report(capsys, oracle, ell):
@@ -218,3 +233,61 @@ def test_oracle_d_property():
     assert SQ.d_pow_beta == Fraction(9, 100)
     assert power_oracle(3).d == pytest.approx((1 / 40) ** (1 / 3))
     assert EMPTY.d is None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "oracle, r", [(power_oracle(2), 2), (power_oracle(3), 3), (SQ, 2)]
+)
+def test_power_jumps_are_where_the_scan_steps_up(oracle, r):
+    assert list(power_jumps(r, 10**6)) == scan_jumps(oracle, 10**6)
+
+
+def test_power_jumps_examples_and_degree_bound():
+    assert list(power_jumps(2, 57)) == [3, 12, 25, 48, 57]  # 1, 4, 9, 16, 25
+    assert list(power_jumps(3, 2)) == []
+    assert list(power_jumps(POWER_MAX_R, 2**66)) == [3, 2**65 + 2**64]
+    for r in (1, POWER_MAX_R + 1):
+        with pytest.raises(ValueError, match=f"2 <= r <= {POWER_MAX_R}"):
+            list(power_jumps(r, 10))
+
+
+def test_gn_of_integer_increases():
+    # The walk's order rests on this.
+    prev = gn_of_integer(1)
+    for v in range(2, 10**6 + 2):
+        g = gn_of_integer(v)
+        assert prev < g, v
+        prev = g
+
+
+@given(st.integers(min_value=1, max_value=2**200))
+def test_gn_of_integer_increases_far_out(v):
+    assert gn_of_integer(v) < gn_of_integer(v + 1)
+
+
+def brute_ceiling_violations(oracle, limit):
+    scan = density_scan(oracle, limit)
+    return sum(not upper_bound_holds(x, dens) for x, dens in scan)
+
+
+@pytest.mark.parametrize(
+    "oracle, limit, violations",
+    [(SIGMA_STAR, 10**4, 9999), (EMPTY, 10**4, 0), (SQ, 10**4, 0)],
+)
+def test_ceiling_violations_at_the_jumps(oracle, limit, violations):
+    # dens(x) = x breaks the ceiling at every x >= 2: the step count must be
+    # exact when it is not zero, not only tell zero from non-zero.
+    assert ceiling_violations(scan_jumps(oracle, limit), limit) == violations
+    assert brute_ceiling_violations(oracle, limit) == violations
+
+
+def test_ceiling_violations_match_a_scan_on_random_languages():
+    rng = random.Random(3)
+    for p in (0.005, 0.02, 0.1, 0.5):
+        members = {x for x in range(1, 3001) if rng.random() < p}
+        oracle = LanguageOracle(lambda w, m=members: goedel_number(w) in m, 1, None, 1)
+        for limit in (1, 2, 77, 3000):
+            assert ceiling_violations(
+                scan_jumps(oracle, limit), limit
+            ) == brute_ceiling_violations(oracle, limit), (p, limit)
