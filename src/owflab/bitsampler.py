@@ -22,9 +22,10 @@ integers as floor(r_num * R / 2**k).  Each output index then deviates from
     count(i) = ceil(2**k * (i+1) / R) - ceil(2**k * i / R),
 
 which is what the exact bias and permutation distributions below use instead
-of enumerating all 2**k tapes.  ``bias_profile`` gives the counts of one
-draw and its largest deviation from 1/R; ``permutation_distribution`` gives
-every sequence's probability and whether the least of them meets the floor
+of enumerating all 2**k tapes, so their cost is set by R and N, not by k.
+``bias_profile`` gives the counts of one draw and its largest deviation
+from 1/R; ``permutation_distribution`` gives every sequence's probability,
+for N <= 6, and whether the least of them meets the floor
 (1 - 2**-N)**N / N! that the construction's k = N**2 + 2 guarantees.
 
 A draw reads only the bits that decide it.  The output floor(r * R / 2**k)
@@ -84,9 +85,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, InvariantViolation, TapeExhausted
 
-BIAS_PROFILE_MAX_K = 24
 PERMUTATION_MAX_N = 6
-PERMUTATION_MAX_K = 64
 # A draw's leading read: the bits its range needs and these guard bits.
 _GUARD_BITS = 64
 _SKIP_MIN_BITS = 256  # a draw that would skip fewer bits, one block, reads all k
@@ -294,8 +293,6 @@ def bias_profile(k: int, range_size: int) -> BiasProfile:
     bound |count/2**k - 1/range| <= 2**(-k+1) checked as the integer
     comparison max |count*range - 2**k| <= 2*range.  The counts take at most
     two values, so the deviation is the larger of at most two terms."""
-    if k > BIAS_PROFILE_MAX_K:
-        raise BudgetError(f"bias profile limited to k <= {BIAS_PROFILE_MAX_K}")
     if k < 1 or range_size < 1:
         raise ValueError("need k >= 1 and range_size >= 1")
     two_k = 1 << k
@@ -386,8 +383,6 @@ def _prefix_law(N: int, m: int, k: int) -> dict[tuple[int, ...], Fraction]:
     its draws' interval counts, one count table per range, over 2**(k*m)."""
     if N > PERMUTATION_MAX_N:
         raise BudgetError(f"distribution limited to N <= {PERMUTATION_MAX_N}")
-    if k > PERMUTATION_MAX_K:
-        raise BudgetError(f"distribution limited to k <= {PERMUTATION_MAX_K}")
     if not 0 <= m <= N:
         raise ValueError(f"cannot select {m} of {N} elements")
     prefixes: list[tuple[tuple[int, ...], int]] = [((), 1)]
@@ -427,7 +422,6 @@ def subset_distribution(N: int, m: int, k: int) -> dict[frozenset, Fraction]:
 
 
 __all__ = [
-    "BIAS_PROFILE_MAX_K",
     "BiasProfile",
     "BitTape",
     "K_PROFILES",

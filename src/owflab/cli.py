@@ -3,9 +3,10 @@ suite, emitting CSV or JSON.
 
 Every run is reproducible from its configuration: all randomness flows
 through the documented seed expansion.  Exit status encodes the outcome:
-0 clean, 1 when a verification found violations, 2 for usage errors
-(including a bad value in a --config file), 3 when the program crashed on
-an unexpected exception, which is reported in one line on stderr.
+0 clean, 1 when a verification found violations, 2 for a refused argument,
+3 for a crash.  A refusal, raised here or in the package, is a ValueError,
+BudgetError or TapeExhausted, and ``main`` prints it as one line on stderr,
+``owflab: <reason>``; argparse reports a malformed flag itself.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
-        except OSError as exc:
-            raise SystemExit(f"cannot read config file: {exc}") from None
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
+            raise ValueError(f"cannot read config file: {exc}") from None
         if not isinstance(file_values, dict):
-            raise SystemExit("the config file must hold a JSON object")
+            raise ValueError("the config file must hold a JSON object")
         for key, value in file_values.items():
             if key not in flags:
-                raise SystemExit(
+                raise ValueError(
                     f"config key {key!r}: owflab {args.command} has no such flag"
                 )
             _check_config_value(key, value)
@@ -98,9 +99,9 @@ def _check_config_value(key: str, value) -> None:
         return
     if type(value) is not kind:
         want = "an integer" if kind is int else "a string"
-        raise SystemExit(f"config key {key!r}: {value!r} is not {want}")
+        raise ValueError(f"config key {key!r}: {value!r} is not {want}")
     if choices and value not in choices:
-        raise SystemExit(f"config key {key!r}: {value!r} is not one of {list(choices)}")
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(choices)}")
 
 
 # The --oracle spellings besides power:R, the r-th powers.  An entry reads
@@ -123,7 +124,7 @@ def _resolve_oracle(name: str) -> languages.LanguageOracle:
     prefix, _, degree = name.partition(":")
     if prefix == "power" and degree.isascii() and degree.isdigit() and degree[0] != "0":
         return languages.power_oracle(int(degree))
-    raise SystemExit(f"unknown oracle {name!r}")
+    raise ValueError(f"unknown oracle {name!r}")
 
 
 def _parse_alpha(value) -> Fraction | None:
@@ -132,7 +133,7 @@ def _parse_alpha(value) -> Fraction | None:
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise SystemExit(f"alpha {value!r} has a zero denominator") from None
+        raise ValueError(f"alpha {value!r} has a zero denominator") from None
 
 
 def _write(out: str, text: str) -> None:
@@ -143,7 +144,7 @@ def _write(out: str, text: str) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SystemExit(f"cannot write the output: {exc}") from None
+        raise ValueError(f"cannot write the output: {exc}") from None
 
 
 def _cmd_density(cfg: dict) -> tuple[dict, bool]:
@@ -238,7 +239,6 @@ def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
 
 
 def _cmd_census(cfg: dict) -> tuple[dict, bool]:
-    # A length past turing.CENSUS_LENGTH_GUARD raises BudgetError: exit 2.
     rows = list(turing.census_csv_rows(cfg["ell"]))
     return {"rows": Table(("length", "diagonal_count", "header_classes"), rows)}, True
 
@@ -285,12 +285,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"owflab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
-        # argparse signals usage errors with code 2 already; normalize
-        # string payloads (our own raises) to the usage exit code.
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_USAGE
-        return exc.code if exc.code is not None else EXIT_OK
+        # argparse's own exit: 2 for a bad flag, 0 after -h.
+        return exc.code
     except Exception as exc:
         # A crash must not read as a verdict (exit 1) or as bad usage.
         print(f"owflab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

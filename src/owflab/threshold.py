@@ -34,13 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import InvariantViolation
+from .errors import BudgetError, InvariantViolation
 from .words import iroot
 
 DEFAULT_ALPHA_SMALL_BETA = Fraction(8)  # convention for beta <= 2, where the
 # closed form for alpha blows up; any alpha > 1 is admissible there.
 ALPHA_TERM_LIMIT = 10**5  # m is found by raising integers to alpha's
 # numerator and denominator, so their size bounds the cost of sampler_params.
+SANDWICH_MAX_N = 1000  # sandwich_grid's ~N**2/2 rows took 15 s and 202 MB
+# at N = 1000 (Python 3.11.7, 2 cores), and their time grows about as N**2.6.
 
 
 def hit_probability(N: int, good: int, k: int) -> Fraction:
@@ -153,7 +155,10 @@ def sandwich_grid(n_max: int) -> Iterator[tuple]:
     (total - miss)/total of the walk's counts, so it is rounded once; good >= 1
     puts m* at most N - 1, so the step to m* + 1 exists.  Along a row the
     falling factorial perm(N, good) of the bounds grows by one multiply per
-    step, ff *= N - good + 1."""
+    step, ff *= N - good + 1.  An n_max past SANDWICH_MAX_N is refused
+    before the first row."""
+    if n_max > SANDWICH_MAX_N:
+        raise BudgetError(f"the sandwich grid is limited to N <= {SANDWICH_MAX_N}")
     for N in range(4, n_max + 1):
         ff = 1
         for good in range(1, N):
@@ -311,6 +316,7 @@ __all__ = [
     "BollobasVerdict",
     "DEFAULT_ALPHA_SMALL_BETA",
     "MuBounds",
+    "SANDWICH_MAX_N",
     "SamplerParams",
     "bollobas_check",
     "bollobas_grid",

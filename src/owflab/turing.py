@@ -205,10 +205,14 @@ def diagonal_member(w: Word) -> bool:
     return outcome == "reject"
 
 
-def diagonal_census(length: int) -> int:
-    """|L_D intersected with {0,1}**length| by exhaustive simulation."""
+def _check_census_length(length: int) -> None:
     if length > CENSUS_LENGTH_GUARD:
         raise BudgetError(f"census guard is length <= {CENSUS_LENGTH_GUARD}")
+
+
+def diagonal_census(length: int) -> int:
+    """|L_D intersected with {0,1}**length| by exhaustive simulation."""
+    _check_census_length(length)
     count = 0
     for v in range(2**length):
         w = format(v, f"0{length}b")
@@ -229,7 +233,9 @@ def equivalent_encoding_count(length: int) -> int:
 
 
 def census_csv_rows(max_length: int) -> Iterator[tuple[int, int, int]]:
-    """Rows (length, diagonal count, header class count)."""
+    """Rows (length, diagonal count, header class count).  A max_length past
+    the guard is refused before the first length is simulated."""
+    _check_census_length(max_length)
     for length in range(1, max_length + 1):
         yield (
             length,

@@ -130,16 +130,19 @@ def test_bias_profile_k10_range3():
     assert bias_profile(10, 3).max_deviation <= Fraction(1, 2**9)
 
 
-def test_bias_profile_budget():
-    with pytest.raises(BudgetError):
-        bias_profile(25, 3)
+def test_bias_profile_at_the_paper_k():
+    # The counts are closed-form, so the construction's own k = N**2 + 2
+    # costs what any k does: the bound holds for every urn up to 64.
+    for N in range(2, 65):
+        assert bias_profile(paper_k(N), N).within_bound, N
 
 
 def test_bias_profile_matches_the_fraction_reference():
-    # C5's whole grid, the budget's k = 24, and ranges of one, above 2**k and
+    # C5's whole grid, k = 24, the paper k, and ranges of one, above 2**k and
     # that are powers of two.
     pairs = [(k, r) for k in range(2, 21) for r in range(2, 65)]
     pairs += [(24, r) for r in (3, 7, 64, 1000, 4099)]
+    pairs += [(paper_k(r), r) for r in (5, 16, 64)]
     pairs += [(1, 1), (1, 3), (3, 1), (2, 100)]
     for k, r in pairs:
         fast, slow = bias_profile(k, r), fraction_bias_profile(k, r)
@@ -261,10 +264,12 @@ def test_prefix_walk_matches_the_full_recursion():
 
 
 def test_permutation_distribution_budget():
+    # N! sequences bound the cost, so N is limited and k is not.
     with pytest.raises(BudgetError):
         permutation_distribution(7, 10)
-    with pytest.raises(BudgetError):
-        permutation_distribution(3, 100)
+    dist = permutation_distribution(3, 100)
+    assert dist.within_bound
+    assert min(dist.probabilities.values()) >= dist.lower_bound
 
 
 def test_select_subset_edges():

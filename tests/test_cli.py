@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from owflab import acceptance, cli, owf, report, turing
+from owflab import acceptance, cli, owf, report, threshold, turing
 from owflab.cli import main
 
 
@@ -78,13 +79,9 @@ def test_density_full_language_flags_violations(tmp_path):
     assert code == 1  # the sqrt ceiling fails everywhere; reported via exit
 
 
-def test_unknown_oracle_is_usage_error(tmp_path):
-    assert run_cli(["density", "--oracle", "nope"]) == 2
-
-
 def test_malformed_power_oracle_is_named(capsys):
     assert run_cli(["density", "--oracle", "power:x", "--ell", "10"]) == 2
-    assert capsys.readouterr().err == "unknown oracle 'power:x'\n"
+    assert capsys.readouterr().err == "owflab: unknown oracle 'power:x'\n"
 
 
 @pytest.mark.parametrize("degree", ["0_3", "+3", "03", " 3"])
@@ -93,7 +90,7 @@ def test_power_oracle_degree_has_one_spelling(capsys, degree):
     # oracle by a spelling of its own.
     name = f"power:{degree}"
     assert run_cli(["density", "--oracle", name, "--ell", "10", "--format", "json"]) == 2
-    assert capsys.readouterr() == ("", f"unknown oracle {name!r}\n")
+    assert capsys.readouterr() == ("", f"owflab: unknown oracle {name!r}\n")
 
 
 @pytest.mark.parametrize("command", ["density", "sample"])
@@ -487,12 +484,66 @@ def test_the_largest_verify_all_seed_runs_every_seeded_criterion():
         assert acceptance.run_criterion(ident, config).passed, ident
 
 
-def test_unreadable_config_or_unwritable_out_is_usage_error(tmp_path):
-    assert run_cli(["owf", "--config", str(tmp_path / "absent.json")]) == 2
+# Every refusal, whether the CLI or the package raises it: the arguments
+# that provoke it and, where it takes one, the text of its --config file.
+REFUSALS = {
+    "config-unreadable": (["owf", "--config", "{tmp}/absent.json"], None),
+    "config-not-json": (["owf", "--config", "{cfg}"], "{seed: 7}"),
+    "config-not-an-object": (["owf", "--config", "{cfg}"], "[1, 2]"),
+    "config-unknown-key": (["density", "--config", "{cfg}"], '{"elll": 10}'),
+    "config-value-type": (["owf", "--config", "{cfg}"], '{"seed": "7"}'),
+    "config-value-choice": (["owf", "--config", "{cfg}"], '{"k_profile": "fast"}'),
+    "unknown-oracle": (["density", "--oracle", "nope"], None),
+    "alpha-zero-denominator": (["owf", "--alpha", "1/0"], None),
+    "unwritable-out": (["census", "--ell", "4", "--out", "{tmp}/no/x.csv"], None),
+    "seed": (["verify-all", "--trials", "1000", "--seed", "-1"], None),
+    "trials": (["verify-all", "--trials", "999"], None),
+    "alpha-at-most-one": (["owf", "--alpha", "1"], None),
+    "alpha-guard": (["owf", "--alpha", "100001"], None),
+    "census-guard": (["census", "--ell", str(turing.CENSUS_LENGTH_GUARD + 1)], None),
+    "threshold-guard": (["threshold", "--n", str(threshold.SANDWICH_MAX_N + 1)], None),
+    "tape-exhausted": (["owf", "--ell", "80", "--k-profile", "practical"], None),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_prints_one_owflab_line(tmp_path, capsys, case):
+    args, config = REFUSALS[case]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
-    assert run_cli(["owf", "--config", str(cfg)]) == 2
-    assert run_cli(["census", "--ell", "4", "--out", str(tmp_path / "no" / "x.csv")]) == 2
+    if config is not None:
+        cfg.write_text(config)
+    args = [arg.format(tmp=tmp_path, cfg=cfg) for arg in args]
+    assert run_cli(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("owflab: "), err
+
+
+def test_census_refuses_a_long_ell_before_any_census(monkeypatch):
+    # --ell 15 used to simulate every word of lengths 1 to 14 first.
+    lengths = []
+    census = turing.diagonal_census
+    monkeypatch.setattr(
+        turing, "diagonal_census", lambda length: lengths.append(length) or census(length)
+    )
+    assert run_cli(["census", "--ell", str(turing.CENSUS_LENGTH_GUARD + 1)]) == 2
+    assert lengths == []
+    assert run_cli(["census", "--ell", "3", "--out", os.devnull]) == 0
+    assert lengths == [1, 2, 3]
+
+
+def test_threshold_refuses_n_past_the_bound_before_any_row(tmp_path, monkeypatch):
+    walks = []
+    walk = threshold._threshold_walk
+    monkeypatch.setattr(
+        threshold, "_threshold_walk", lambda N, good: walks.append(N) or walk(N, good)
+    )
+    out = tmp_path / "threshold.csv"
+    too_big = str(threshold.SANDWICH_MAX_N + 1)
+    assert run_cli(["threshold", "--n", too_big, "--out", str(out)]) == 2
+    assert walks == [] and not out.exists()
+    assert run_cli(["threshold", "--n", "5", "--out", str(out)]) == 0
+    assert set(walks) == {4, 5}
 
 
 def test_config_file_typed_values_run(tmp_path):

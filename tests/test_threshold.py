@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom
 
-from owflab.errors import InvariantViolation
+from owflab.errors import BudgetError, InvariantViolation
 from owflab.threshold import (
     DEFAULT_ALPHA_SMALL_BETA,
+    SANDWICH_MAX_N,
     _threshold_walk,
     bollobas_check,
     bollobas_grid,
@@ -493,6 +494,13 @@ def test_sandwich_grid_rows():
     byn = {(N, g): (ms, lo, up) for N, g, ms, lo, up, _, _, _ in rows}
     assert byn[(4, 2)] == (1, 0, 2)
     assert all(max(0, lo) <= ms <= up for (ms, lo, up) in byn.values())
+
+
+def test_sandwich_grid_bound():
+    # The bound itself runs; one more is refused before the first row.
+    assert next(sandwich_grid(SANDWICH_MAX_N))[:2] == (4, 1)
+    with pytest.raises(BudgetError):
+        next(sandwich_grid(SANDWICH_MAX_N + 1))
 
 
 def test_sandwich_grid_against_the_exact_fractions():
