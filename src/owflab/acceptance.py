@@ -174,8 +174,8 @@ def _criterion_8(config: VerifyConfig) -> tuple[bool, str]:
     ell, beta = 600, 1
     shapes = set()
     for t in range(config.trials):
-        w = format(bitsampler.expand_seed_bits(config.seed, ell, stream=t), f"0{ell}b")
-        out = owf.owf_evaluate(w, beta, k_profile="paper", alpha=8)
+        tape = bitsampler.BitTape.from_seed(config.seed, ell, stream=t)
+        out = owf.owf_evaluate(tape, beta, k_profile="paper", alpha=8)
         shapes.add(
             (
                 out.n,

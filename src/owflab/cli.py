@@ -218,13 +218,12 @@ def _cmd_sample(cfg: dict) -> tuple[dict, bool]:
 
 
 def _cmd_owf(cfg: dict) -> tuple[dict, bool]:
-    ell = cfg["ell"]
-    w = format(bitsampler.expand_seed_bits(cfg["seed"], ell), f"0{ell}b")
+    tape = bitsampler.BitTape.from_seed(cfg["seed"], cfg["ell"])
     out = owf.owf_evaluate(
-        w, cfg["beta"], k_profile=cfg["k_profile"], alpha=_parse_alpha(cfg["alpha"])
+        tape, cfg["beta"], k_profile=cfg["k_profile"], alpha=_parse_alpha(cfg["alpha"])
     )
     return {
-        "ell": ell,
+        "ell": cfg["ell"],
         "beta": cfg["beta"],
         "alpha": str(out.params.alpha),
         "k_profile": cfg["k_profile"],

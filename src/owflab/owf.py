@@ -8,16 +8,17 @@ which the same m exceeds the threshold and W most likely contains a member.
 Both branches emit sets of identical cardinality from the same index space,
 so the output's shape carries no information about the bit.
 
-The evaluator splits its input word into n leading payload bits and a bit
-tape, then chains the per-bit sampler, handing each round the tape remainder
-of the previous one.  A round reads cost0 = N*k(N) bits for b = 0 and
-cost1 = cost0 + n*k(n) for b = 1, so an input needs
+The evaluator splits its input, a word over 0/1 or a BitTape read from its
+cursor on, into n leading payload bits and a bit tape, then chains the
+per-bit sampler, handing each round the tape remainder of the previous one.
+A round reads cost0 = N*k(N) bits for b = 0 and cost1 = cost0 + n*k(n) for
+b = 1, so an input needs
 
     n*cost0 + weight(payload)*(cost1 - cost0)
 
 tape bits, its ``bits_consumed``, which gives away the payload's weight.
-Everything downstream of the input word is deterministic, so equal inputs
-give equal outputs and equal input lengths give equal output shapes.
+Everything downstream of the input is deterministic, so equal inputs give
+equal outputs and equal input lengths give equal output shapes.
 
 The hardness story this models is not asserted here: the experiments measure
 miss rates against exact hypergeometric values and report them.  The
@@ -181,21 +182,22 @@ def ptsamp(
 
 
 def owf_evaluate(
-    w: Word,
+    w: Word | BitTape,
     beta: int,
     k_profile: str = "paper",
     alpha: Fraction | int | None = None,
 ) -> OwfOutput:
-    """Evaluate the bit encoder on input word w = payload || tape.
+    """Evaluate the bit encoder on input w = payload || tape: a word, or a
+    BitTape read from its cursor to its end, which the rounds advance.
 
-    Deterministic in w.  The input needs n*cost0 + weight(payload)*(cost1 -
-    cost0) tape bits, its ``bits_consumed``; when the tape holds fewer,
-    TapeExhausted is raised before any round.
+    Deterministic in the input's bits.  The input needs n*cost0 +
+    weight(payload)*(cost1 - cost0) tape bits, its ``bits_consumed``; when
+    the tape holds fewer, TapeExhausted is raised before any round.
     """
-    ell = len(w)
-    n = compute_n(ell, beta)
+    tape = w if isinstance(w, BitTape) else BitTape(w)  # a word must be over 0/1
+    start = tape.cursor
+    n = compute_n(tape.remaining(), beta)
     params = sampler_params(n, beta, alpha)
-    tape = BitTape(w)  # refuses a word with any character other than 0/1
     payload = tape.take(n)
     rnd = _round(n, params.N, k_profile)
     need = n * rnd.cost0 + payload.bit_count() * (rnd.cost1 - rnd.cost0)
@@ -209,7 +211,9 @@ def owf_evaluate(
         b = payload >> (n - 1 - i) & 1
         instance, tape = ptsamp(b, n, tape, params, k_profile)
         sets.append(instance)
-    return OwfOutput(sets=tuple(sets), n=n, bits_consumed=tape.cursor - n, params=params)
+    return OwfOutput(
+        sets=tuple(sets), n=n, bits_consumed=tape.cursor - start - n, params=params
+    )
 
 
 def hit_test(instance: InstanceSet, oracle: LanguageOracle) -> bool:
@@ -287,9 +291,12 @@ def sampling_error_experiment(
 
     need0 = round_consumption(0, params, k_profile)
     need1 = round_consumption(1, params, k_profile)
+    # A thinned urn's good count g takes n + 1 values: price each once.
+    miss_given = [1 - hit_probability(n, g, m) for g in range(n + 1)]
+    var_given = [float(p) * float(1 - p) for p in miss_given]
+    urns_by_good = [0] * (n + 1)
     hits0 = 0
     misses1 = 0
-    exact1_sum = Fraction(0)
     exact1_var = 0.0
     for t in range(trials):
         tape0 = BitTape.from_seed(seed, need0, stream=2 * t)
@@ -300,10 +307,10 @@ def sampling_error_experiment(
         w1, urn1 = _ptsamp_traced(1, n, tape1, params, k_profile)
         if good_positions.isdisjoint(w1.members):
             misses1 += 1
-        g_t = sum(1 for i in urn1 if i in good_positions)
-        p_t = 1 - hit_probability(n, g_t, m)
-        exact1_sum += p_t
-        exact1_var += float(p_t) * float(1 - p_t)
+        g_t = len(good_positions.intersection(urn1))
+        urns_by_good[g_t] += 1
+        exact1_var += var_given[g_t]  # in trial order: sum() rounds otherwise
+    exact1_sum = sum(count * p for count, p in zip(urns_by_good, miss_given))
 
     p0 = float(exact0)
     z0 = _z_score(hits0, trials * p0, trials * p0 * (1 - p0))

@@ -36,15 +36,7 @@ def word_value(w: Word) -> int:
     >>> word_value("1000")
     8
     """
-    # goedel_number's check, written out: both are hot leaves, and a shared
-    # helper would add a call to each.
-    try:
-        marked = int("1" + w, 2) if str.isascii(w) else 0
-    except ValueError:
-        marked = 0
-    if marked.bit_length() != len(w) + 1:
-        raise ValueError(f"not a bit string: {w!r}")
-    return marked ^ (1 << len(w))
+    return goedel_number(w) ^ (1 << len(w))
 
 
 def goedel_number(w: Word) -> GoedelIndex:

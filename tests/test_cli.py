@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,24 @@ def test_owf_infeasible_tape_is_reported(capsys):
     # At the bottom of an n-band the tape cannot fund the rounds; the CLI
     # turns the exhaustion diagnostic into a usage error.
     assert run_cli(["owf", "--ell", "80", "--k-profile", "practical"]) == 2
+
+
+def test_owf_reads_its_seeded_input_without_spelling_it_out(capsys):
+    # The evaluator reads the seed's bits as a tape, so memory does not grow
+    # with --ell: a 10**7-bit input that cannot fund its rounds is refused
+    # without its 10**7 characters ever being built.
+    tracemalloc.start()
+    try:
+        code = run_cli(["owf", "--ell", "10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "owflab: payload 01010100001100 needs 105432852 tape bits, "
+        "the input has 9999986\n"
+    )
+    assert peak < 1 << 20
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

@@ -244,6 +244,118 @@ def test_owf_refuses_non_bit_words():
             owf_evaluate(w, 1, "paper", alpha=8)
 
 
+def _raised(f, *args, **kwargs):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    ell=st.integers(4, 3000),
+    beta=st.sampled_from([1, 2]),
+    k_profile=st.sampled_from(["paper", "practical"]),
+)
+def test_owf_reads_a_seeded_tape_as_its_spelled_out_word(
+    seed, stream, ell, beta, k_profile
+):
+    # A seeded tape is never spelled out, but must evaluate as its word
+    # does: the same OwfOutput, or the same refusal.
+    tape = BitTape.from_seed(seed, ell, stream=stream)
+    word = format(expand_seed_bits(seed, ell, stream=stream), f"0{ell}b")
+    assert _raised(owf_evaluate, tape, beta, k_profile, alpha=8) == _raised(
+        owf_evaluate, word, beta, k_profile, alpha=8
+    )
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "literal"])
+def test_owf_reads_a_partly_read_tape_from_its_cursor(seeded):
+    # The input is the tape's unread bits; bits_consumed counts from the
+    # cursor the evaluation found.
+    bits = format(expand_seed_bits(99, 631), "0631b")
+    tape = BitTape.from_seed(99, 631) if seeded else BitTape(bits)
+    tape.take(20)
+    tape.skip(11)
+    out = owf_evaluate(tape, 1, "paper", alpha=8)
+    assert out == owf_evaluate(bits[31:], 1, "paper", alpha=8)
+    assert tape.cursor == 31 + out.n + out.bits_consumed
+
+
+def test_owf_refuses_a_short_tape_from_its_cursor():
+    tape = BitTape.from_seed(1, 600)
+    tape.skip(597)
+    with pytest.raises(ValueError, match="length >= 4"):
+        owf_evaluate(tape, 1, "paper", alpha=8)
+
+
+def _per_trial_experiment(n, beta, oracle, trials, seed, *, alpha, k_profile):
+    """sampling_error_experiment as one loop that prices each trial's
+    thinned urn on its own: the reference for the priced-once table."""
+    params = sampler_params(n, beta, alpha)
+    N, m = params.N, params.m
+    good_positions = frozenset(
+        i for i in range(1, N + 1) if oracle.member(goedel_inverse(i))
+    )
+    exact0 = hit_probability(N, len(good_positions), m)
+    need0 = round_consumption(0, params, k_profile)
+    need1 = round_consumption(1, params, k_profile)
+    hits0 = misses1 = 0
+    exact1_sum = Fraction(0)
+    exact1_var = 0.0
+    for t in range(trials):
+        tape0 = BitTape.from_seed(seed, need0, stream=2 * t)
+        w0, _ = owf._ptsamp_traced(0, n, tape0, params, k_profile)
+        if not good_positions.isdisjoint(w0.members):
+            hits0 += 1
+        tape1 = BitTape.from_seed(seed, need1, stream=2 * t + 1)
+        w1, urn1 = owf._ptsamp_traced(1, n, tape1, params, k_profile)
+        if good_positions.isdisjoint(w1.members):
+            misses1 += 1
+        g_t = sum(1 for i in urn1 if i in good_positions)
+        p_t = 1 - hit_probability(n, g_t, m)
+        exact1_sum += p_t
+        exact1_var += float(p_t) * float(1 - p_t)
+    p0 = float(exact0)
+    miss0, miss1 = hits0 / trials, misses1 / trials
+    return owf.BijectivityReport(
+        n=n,
+        beta=beta,
+        trials=trials,
+        k_profile=k_profile,
+        miss0=miss0,
+        miss1=miss1,
+        exact0=p0,
+        exact1=float(exact1_sum) / trials,
+        z0=owf._z_score(hits0, trials * p0, trials * p0 * (1 - p0)),
+        z1=owf._z_score(misses1, exact1_sum, exact1_var),
+        criterion_value=miss0 + miss1,
+        m=m,
+        N=N,
+        good_count=len(good_positions),
+    )
+
+
+@pytest.mark.parametrize("k_profile", ["paper", "practical"])
+@pytest.mark.parametrize(
+    "n, oracle",
+    [(2, power_oracle(2)), (4, power_oracle(2)), (6, power_oracle(2)),
+     (4, EMPTY), (4, SIGMA_STAR)],
+    ids=["n2", "n4", "n6", "empty", "sigma-star"],
+)
+def test_experiment_matches_the_per_trial_loop(n, oracle, k_profile):
+    # EMPTY and SIGMA_STAR make every variance 0, the z-score's other branch.
+    args = (n, 2, oracle, 1000, 31 + n)
+    kwargs = dict(alpha=8, k_profile=k_profile)
+    assert (
+        sampling_error_experiment(*args, **kwargs).to_json_dict()
+        == _per_trial_experiment(*args, **kwargs).to_json_dict()
+    )
+
+
 def test_hit_test_examples():
     assert hit_test(InstanceSet((3,), 16), SQ)  # index 3 is the word "1"
     assert not hit_test(InstanceSet((2,), 16), SQ)  # index 2 is "0", value 0

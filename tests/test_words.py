@@ -54,6 +54,19 @@ def test_word_checks_refuse_non_strings_and_name_the_word():
             f("0_1")
 
 
+@pytest.mark.parametrize(
+    "w", ["_", "0_1", " 01", "01\n", "+1", "-0", "\u0661", "\uff11", 101, b"01", None]
+)
+def test_word_value_refuses_what_goedel_number_refuses(w):
+    # word_value takes goedel_number's check: the same error, word for word.
+    refusals = []
+    for f in (goedel_number, word_value):
+        with pytest.raises((TypeError, ValueError)) as info:
+            f(w)
+        refusals.append((info.type, str(info.value)))
+    assert refusals[0] == refusals[1]
+
+
 def _accepts(f, w):
     try:
         f(w)
