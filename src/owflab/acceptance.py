@@ -261,11 +261,11 @@ def _criterion_12(config: VerifyConfig) -> tuple[bool, str]:
     # ranks above every shorter member, so there the image count runs ahead.
     minimal = [words.min_word(v) for v in range(16, 2**12 + 1, 16)]
     padded = [format(v, "012b") for v in range(16, 2**11, 16)]
-    report = reduction.density_transfer_check(
+    counts = reduction.density_transfer_check(
         turing.diagonal_member, code, lam, 2**12, minimal + padded
     )
-    violations = len(report.violations)
-    ahead = sum(p.source_count < p.image_count for p in report.points)
+    violations = sum(source > image for source, image in counts)
+    ahead = sum(source < image for source, image in counts)
     ok = off_squares == unordered == violations == 0
     return ok, (
         f"{len(values)} words of length <= 12 under phi: {off_squares} images "

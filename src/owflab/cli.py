@@ -169,7 +169,7 @@ def _cmd_density(cfg: dict) -> tuple[dict, bool]:
 def _cmd_threshold(cfg: dict) -> tuple[dict, bool]:
     n_max = cfg["n"]
     sandwich_rows = list(threshold.sandwich_grid(n_max))
-    grid_rows = [(v.N, v.good, int(v.theta), v.m, v.regime, v.holds)
+    grid_rows = [(v.N, v.good, v.theta, v.m, v.regime, v.holds)
                  for v in threshold.bollobas_grid(min(n_max, 200))]
     violations = sum(not row[-1] for row in sandwich_rows)
     violations += sum(row[-1] is False for row in grid_rows)

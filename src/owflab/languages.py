@@ -18,7 +18,8 @@ order.  Since sqrt(x) grows and dens is constant between jumps, dens = j on
 verify-all's C2 checks the squares to 10**5 in 185 such steps and
 cross-checks the walk against ``density_scan`` on [1, 2**12].
 ``density_scan`` is the generic enumeration for any oracle, and
-``owflab density`` runs it.
+``owflab density`` runs it through ``density_csv_rows``, whose table stops
+at DENSITY_TABLE_LIMIT.
 
 Lower-bound constants are carried as the exact rational d**beta so that every
 bound check is an integer comparison (d itself is typically irrational for
@@ -37,6 +38,9 @@ from .errors import BudgetError
 from .words import Word, gn_of_integer, goedel_inverse, iroot, word_value
 
 ENUMERATION_BUDGET = 10_000_000
+# owflab density holds every row of its table and renders the whole report,
+# so the table stops well short of the scan's budget (see the README's bounds).
+DENSITY_TABLE_LIMIT = 200_000
 # A member test builds 2**r.  Below 2**64, beyond any word a scan or an urn
 # reaches, no r-th power but 1 exists for r >= 64, so a larger r adds only cost.
 POWER_MAX_R = 64
@@ -164,7 +168,10 @@ def upper_bound_holds(x: int, dens: int) -> bool:
 def density_csv_rows(
     oracle: LanguageOracle, limit: int
 ) -> Iterator[tuple[int, int, float, float]]:
-    """Rows (x, dens, d * x**(1/beta), sqrt(x)) for table export."""
+    """Rows (x, dens, d * x**(1/beta), sqrt(x)) for table export.  A limit
+    past DENSITY_TABLE_LIMIT is refused before the first row."""
+    if limit > DENSITY_TABLE_LIMIT:
+        raise BudgetError(f"the density table is limited to x <= {DENSITY_TABLE_LIMIT}")
     d = oracle.d
     for x, dens in density_scan(oracle, limit):
         lower = d * x ** (1.0 / oracle.beta) if d is not None else 0.0

@@ -8,8 +8,8 @@ so they are recoverable exactly; because the trailer is all zeroes and Delta
 fits inside it, the addition never carries into the source or code blocks.
 The map is injective and strictly increasing: a shorter source gives a
 shorter (hence smaller) image, and equal-length sources keep their numeric
-order.  ``density_transfer_check`` counts that the image of a language is
-at least as dense as the language at corresponding points.
+order.  ``density_transfer_check`` counts a language and its image at
+corresponding points, where the image must be at least as dense.
 """
 
 from __future__ import annotations
@@ -83,37 +83,19 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
 TRANSFER_BUDGET = 2**20  # largest limit density_transfer_check enumerates
 
 
-@dataclass(frozen=True)
-class TransferPoint:
-    source_count: int
-    image_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.source_count <= self.image_count
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    points: tuple[TransferPoint, ...]
-
-    @property
-    def violations(self) -> tuple[TransferPoint, ...]:
-        return tuple(p for p in self.points if not p.ok)
-
-
 def density_transfer_check(
     member: Callable[[Word], bool],
     code: Word,
     lam: int,
     limit: int,
     thresholds: Iterable[Word],
-) -> TransferReport:
-    """Verify, by exhaustive counting, that the image language is at least as
-    dense as the source language at corresponding points.
+) -> list[tuple[int, int]]:
+    """Count, exhaustively, how dense the language and its image are at
+    corresponding points: one pair (source_count, image_count) per threshold.
 
-    For every threshold word w, the number of member values v <= (w)_2 must
-    not exceed the number of image values phi(v') <= phi(w) over members v'.
+    For a threshold word w, source_count is the number of member values
+    v <= (w)_2 and image_count the number of image values phi(v') <= phi(w)
+    over members v'; the transfer holds where source_count <= image_count.
     ``member`` decides the language.  Members are enumerated in minimal
     binary form up to ``limit``, after every threshold is checked to be a
     bit string of value in [1, limit].
@@ -134,10 +116,8 @@ def density_transfer_check(
     member_images = sorted(
         reduce_phi(min_word(y), code, lam).value for y in member_values
     )
-    points = []
-    for w, wv in zip(thresholds, values):
-        phi_w = reduce_phi(w, code, lam).value
-        source_count = bisect_right(member_values, wv)
-        image_count = bisect_right(member_images, phi_w)
-        points.append(TransferPoint(source_count, image_count))
-    return TransferReport(tuple(points))
+    return [
+        (bisect_right(member_values, wv),
+         bisect_right(member_images, reduce_phi(w, code, lam).value))
+        for w, wv in zip(thresholds, values)
+    ]

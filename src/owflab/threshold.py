@@ -19,6 +19,8 @@ floor and ceil need no precision argument.  ``mu_bounds_exact(N, good)``
 checks the urn and calls it; C3 and ``owflab threshold`` read the sandwich off
 ``sandwich_grid``, which calls it with the falling factorial carried along
 each row, as C4 and the command read the regime checks off ``bollobas_grid``.
+``bollobas_check`` takes an integer theta, so that each regime inequality
+is one comparison of integers.
 
 m(N), the number of elements the sampler actually draws, is
 floor(N**(-1/alpha) * mu_lower(N, p_upper)) clamped to >= 1, with
@@ -246,7 +248,7 @@ def sampler_params(
 class BollobasVerdict(NamedTuple):
     N: int
     good: int
-    theta: Fraction | int
+    theta: int
     m: int
     regime: str  # "below" | "above" | "between"
     holds: bool | None  # None in the between-regimes gap
@@ -256,40 +258,36 @@ class BollobasVerdict(NamedTuple):
 def bollobas_check(
     N: int,
     good: int,
-    theta: Fraction | int,
+    theta: int,
     m: int,
     *,
     mstar: int | None = None,
 ) -> BollobasVerdict:
-    """Check the threshold inequalities with exact rationals.
+    """Check the threshold inequalities in exact integers.
 
     Below the threshold (m <= m*/theta):    Pr(Q_m) <= 1 - 2**(-1/theta).
     Above the threshold (m >= theta(m*+1)): Pr(Q_m) >= 1 - 2**(-theta).
-    Both comparisons are done exactly by clearing the fractional powers of 2:
-    with 1 - Pr(Q_m) = miss/total in lowest terms and theta = a/b, the first
-    is miss**a * 2**b >= total**a and the second is miss**b * 2**a <= total**b.
-    The check raises integers to a and b, so theta's numerator and
-    denominator may not exceed ALPHA_TERM_LIMIT, the bound on alpha's.
-    A caller that already has m*(N, good) passes it as ``mstar``.
+    With 1 - Pr(Q_m) = miss/total in lowest terms, clearing the powers of 2
+    makes the first 2 * miss**theta >= total**theta and the second
+    miss * 2**theta <= total.  theta is an integer in [1, ALPHA_TERM_LIMIT],
+    the bound on alpha's terms, since the check raises integers to it; a
+    Fraction or a float is a TypeError.  A caller that already has
+    m*(N, good) passes it as ``mstar``.
     """
-    a, b = theta.as_integer_ratio()
-    if a < b:
-        raise ValueError("theta must be >= 1")
-    if a > ALPHA_TERM_LIMIT:  # b <= a, so a is the larger term
-        raise ValueError(
-            f"theta {theta} has a numerator or denominator above {ALPHA_TERM_LIMIT}"
-        )
+    theta = operator.index(theta)
+    if not 1 <= theta <= ALPHA_TERM_LIMIT:
+        raise ValueError(f"theta must be an integer in [1, {ALPHA_TERM_LIMIT}]")
     if mstar is None:
         mstar = exact_threshold(N, good)
     pr = hit_probability(N, good, m)
     # 1 - pr in lowest terms, since gcd(d - n, d) = gcd(n, d) = 1
     total = pr.denominator
     miss = total - pr.numerator
-    if m * a <= mstar * b:  # m <= mstar / theta
-        holds = miss**a * 2**b >= total**a
+    if m * theta <= mstar:
+        holds = 2 * miss**theta >= total**theta
         regime = "below"
-    elif m * b >= (mstar + 1) * a:  # m >= theta * (mstar + 1)
-        holds = miss**b * 2**a <= total**b
+    elif m >= theta * (mstar + 1):
+        holds = miss * 2**theta <= total
         regime = "above"
     else:
         holds = None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from owflab import acceptance, cli, owf, report, threshold, turing
+from owflab import acceptance, cli, languages, owf, report, threshold, turing
 from owflab.cli import main
 
 
@@ -521,6 +521,7 @@ REFUSALS = {
     "alpha-guard": (["owf", "--alpha", "100001"], None),
     "census-guard": (["census", "--ell", str(turing.CENSUS_LENGTH_GUARD + 1)], None),
     "threshold-guard": (["threshold", "--n", str(threshold.SANDWICH_MAX_N + 1)], None),
+    "density-guard": (["density", "--ell", str(languages.DENSITY_TABLE_LIMIT + 1)], None),
     "tape-exhausted": (["owf", "--ell", "80", "--k-profile", "practical"], None),
 }
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from owflab.cli import main
 from owflab.errors import BudgetError
 from owflab.languages import (
+    DENSITY_TABLE_LIMIT,
     EMPTY,
     POWER_MAX_R,
     SIGMA_STAR,
@@ -217,6 +218,13 @@ def test_csv_rows_shape():
     assert (x, dens) == (25, 3)
     assert lower == pytest.approx(0.3 * 25**0.5)
     assert upper == pytest.approx(5.0)
+
+
+def test_csv_rows_bound():
+    # The bound itself runs; one more is refused before the first row.
+    assert next(density_csv_rows(SQ, DENSITY_TABLE_LIMIT))[:2] == (1, 0)
+    with pytest.raises(BudgetError, match="limited to x <= 200000"):
+        next(density_csv_rows(SQ, DENSITY_TABLE_LIMIT + 1))
 
 
 def test_calibration_scan_supports_the_stored_constants(capsys):

@@ -379,19 +379,43 @@ def test_has_a_caller_resolves_annotated_receivers(tmp_path):
 
 
 def test_has_a_caller_resolves_a_loop_over_a_dataclass_field(tmp_path):
-    # reduction.TransferReport.violations reads p.ok with p looping over the
-    # field points: tuple[TransferPoint, ...], so a dead SamplerParams.ok in
-    # a copy of the package is found.
-    package = tmp_path / "owflab"
-    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
-    threshold = package / "threshold.py"
-    source = threshold.read_text()
-    anchor = "        return self.m <= self.n\n"
-    assert source.count(anchor) == 1
-    dead = "\n    @property\n    def ok(self) -> bool:\n        return True\n"
-    threshold.write_text(source.replace(anchor, anchor + dead))
-    callers = [ROOT / "demos", ROOT / "owbench"]
-    assert _uncalled(package, callers) == ["threshold.SamplerParams.ok"]
+    """Report.failures reads p.ok in a for statement whose p loops over the
+    dataclass field points: tuple[Point, ...], so p.ok reaches Point.ok and
+    does not keep the dead Params.ok alive.  Were the loop left unresolved,
+    p.ok would count for every class's ok and Params.ok would be missed."""
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "class Point:\n"
+        "    def ok(self):\n"
+        "        return True\n"
+        "\n"
+        "\n"
+        "class Params:\n"
+        "    def ok(self):\n"
+        "        return True\n"
+        "\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    points: tuple[Point, ...]\n"
+        "\n"
+        "    def failures(self):\n"
+        "        failed = []\n"
+        "        for p in self.points:\n"
+        "            if not p.ok():\n"
+        "                failed.append(p)\n"
+        "        return failed\n"
+    )
+    (callers / "use.py").write_text(
+        "from pkg.mod import Params, Point, Report\n"
+        "print(Report((Point(),)).failures(), Params())\n"
+    )
+    assert _uncalled(package, [callers]) == ["mod.Params.ok"]
 
 
 def test_has_a_caller_covers_the_reduction_module(tmp_path):

@@ -9,6 +9,7 @@ from owflab.reduction import (
     next_square_delta,
     reduce_phi,
 )
+from owflab.turing import diagonal_member
 from owflab.words import min_word, word_value
 
 CODE = "1011001110"  # a 10-bit stand-in machine code block
@@ -118,13 +119,14 @@ def test_reduce_phi_injective_on_random_pairs():
 def test_density_transfer_for_squares():
     rng = random.Random(31)
     thresholds = [min_word(rng.randrange(1, 2**16)) for _ in range(100)]
-    report = density_transfer_check(SQ.member, CODE, 3, 2**16, thresholds)
-    assert not report.violations
+    counts = density_transfer_check(SQ.member, CODE, 3, 2**16, thresholds)
+    assert len(counts) == len(thresholds)
+    assert all(source <= image for source, image in counts)
 
 
 def test_density_transfer_empty_language():
-    report = density_transfer_check(EMPTY.member, CODE, 3, 2**10, ["1", "101"])
-    assert all(p.source_count == 0 and p.image_count == 0 for p in report.points)
+    counts = density_transfer_check(EMPTY.member, CODE, 3, 2**10, ["1", "101"])
+    assert counts == [(0, 0), (0, 0)]
 
 
 def test_density_transfer_strict_somewhere_for_short_full_language():
@@ -135,9 +137,28 @@ def test_density_transfer_strict_somewhere_for_short_full_language():
 
     thresholds = [min_word(y) for y in range(1, 64)]
     thresholds += ["0001", "00101", "011"]
-    report = density_transfer_check(member, CODE, 3, 255, thresholds)
-    assert not report.violations
-    assert any(p.source_count < p.image_count for p in report.points)
+    counts = density_transfer_check(member, CODE, 3, 255, thresholds)
+    assert all(source <= image for source, image in counts)
+    assert any(source < image for source, image in counts)
+
+
+@pytest.mark.parametrize("member", [SQ.member, diagonal_member])
+def test_density_transfer_counts_match_a_brute_force_count(member):
+    # Each pair counted again from its definition, member by member, with
+    # no sorting or bisection, at minimal and at zero-padded thresholds.
+    limit = 2**9
+    thresholds = [min_word(y) for y in range(1, limit + 1, 7)]
+    thresholds += [format(y, "012b") for y in range(1, limit + 1, 11)]
+    members = [min_word(y) for y in range(1, limit + 1) if member(min_word(y))]
+    expected = []
+    for w in thresholds:
+        phi_w = reduce_phi(w, CODE, 3).value
+        expected.append((
+            sum(word_value(v) <= word_value(w) for v in members),
+            sum(reduce_phi(v, CODE, 3).value <= phi_w for v in members),
+        ))
+    assert any(source < image for source, image in expected)
+    assert density_transfer_check(member, CODE, 3, limit, thresholds) == expected
 
 
 @pytest.mark.parametrize("threshold", ["0", "100000000", "1a"])

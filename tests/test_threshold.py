@@ -17,6 +17,7 @@ from scipy.stats import hypergeom
 
 from owflab.errors import BudgetError, InvariantViolation
 from owflab.threshold import (
+    ALPHA_TERM_LIMIT,
     DEFAULT_ALPHA_SMALL_BETA,
     SANDWICH_MAX_N,
     _threshold_walk,
@@ -361,13 +362,12 @@ def test_bollobas_irrational_bound_is_exact():
     # cleared to integers, so boundary cases cannot misround.
     v = bollobas_check(100, 10, 2, exact_threshold(100, 10) // 2)
     assert v.holds is True
-    with pytest.raises(ValueError):
-        bollobas_check(10, 2, Fraction(1, 2), 1)
 
 
 # The Fraction route that bollobas_check and hit_probability replaced: the
 # hit probability as 1 - miss/total, a frozen dataclass per verdict, and
-# theta compared as a Fraction.  Kept as the reference for the integer route;
+# theta compared as a Fraction a/b through miss**a * 2**b >= total**a and
+# miss**b * 2**a <= total**b.  Kept as the reference for the integer route;
 # a verdict holds theta as it was passed.
 def hit_probability_reference(N, good, k):
     return 1 - Fraction(math.perm(N - good, k), math.perm(N, k))
@@ -440,13 +440,13 @@ def test_bollobas_grid_matches_the_fraction_route():
 
 
 def test_bollobas_between_regimes_match_the_fraction_route():
-    # Every draw count at fractional and integer theta, so the gap between
-    # the regimes is crossed; theta comes as int and as Fraction, and m*
-    # is found inside the check as well as passed in.
+    # Every draw count at each integer theta the callers pass, so the gap
+    # between the regimes is crossed; m* is found inside the check as well
+    # as passed in.
     seen = set()
     for N, good in ((10, 1), (37, 5), (100, 3), (100, 10)):
         mstar = exact_threshold(N, good)
-        for theta in (1, 2, Fraction(3, 2), Fraction(7, 3), Fraction(2), 4):
+        for theta in (1, 2, 4):
             for m in range(N + 1):
                 for given_mstar in (None, mstar):
                     verdict = bollobas_check(N, good, theta, m, mstar=given_mstar)
@@ -458,25 +458,26 @@ def test_bollobas_between_regimes_match_the_fraction_route():
 
 def test_bollobas_verdict_is_a_tuple():
     v = bollobas_check(4, 2, 1, 1)
-    assert v == (4, 2, Fraction(1), 1, "below", True, Fraction(1, 2))
+    assert v == (4, 2, 1, 1, "below", True, Fraction(1, 2))
     N, good, theta, m, regime, holds, pr = v
     assert (regime, holds, pr) == ("below", True, Fraction(1, 2))
 
 
 def test_bollobas_check_bounds_the_size_of_theta():
-    # The check raises integers to theta's numerator and denominator, so it
-    # refuses terms above the limit of 10**5 that sampler_params sets for
-    # alpha.  Fraction(1.1) is 2476979795053773/2251799813685248.
-    limit = Fraction(100_000, 99_999)
+    # The check raises integers to theta, so theta is an integer, read
+    # through operator.index, in [1, ALPHA_TERM_LIMIT], the limit that
+    # sampler_params sets for alpha's terms.
     assert_same_verdict(
-        bollobas_check(10, 2, limit, 1), bollobas_check_reference(10, 2, limit, 1)
+        bollobas_check(10, 2, ALPHA_TERM_LIMIT, 0),
+        bollobas_check_reference(10, 2, ALPHA_TERM_LIMIT, 0),
     )
-    assert bollobas_check(10, 2, 100_000, 10).regime == "between"
-    for theta in (Fraction(1.1), Fraction(100_001), Fraction(100_001, 100_000)):
-        with pytest.raises(ValueError, match="above 100000"):
+    assert bollobas_check(10, 2, ALPHA_TERM_LIMIT, 10).regime == "between"
+    for theta in (Fraction(1, 2), Fraction(2), 2.0):
+        with pytest.raises(TypeError):
             bollobas_check(10, 2, theta, 1)
-    with pytest.raises(ValueError, match="theta must be >= 1"):
-        bollobas_check(10, 2, Fraction(1, 10**6), 1)
+    for theta in (0, -1, ALPHA_TERM_LIMIT + 1):
+        with pytest.raises(ValueError, match=r"an integer in \[1, 100000\]"):
+            bollobas_check(10, 2, theta, 1)
 
 
 def test_mu_bounds_checks_the_sandwich_inside():
