@@ -9,6 +9,7 @@ timestamp is confined to a single header field).
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import time
@@ -235,7 +236,9 @@ def _criterion_11(config: VerifyConfig) -> tuple[bool, str]:
     for _ in range(2):
         results = [run_criterion(ident, sub) for ident in idents]
         fields = report_fields(results, sub)
-        blobs.append(render("json", "verify-all", fields, timestamp=False).encode())
+        text = io.StringIO()
+        render("json", "verify-all", fields, text, timestamp=False)
+        blobs.append(text.getvalue())
     ok = blobs[0] == blobs[1]
     return ok, (
         f"criteria {', '.join(idents)} re-run twice at trials={sub.trials}: "

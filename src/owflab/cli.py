@@ -1,8 +1,9 @@
 """Command-line front door: tables, audits, experiments, and the acceptance
 suite, emitting CSV or JSON.
 
-Every run is reproducible from its configuration: all randomness flows
-through the documented seed expansion.  Exit status encodes the outcome:
+Flags are the one input: a run is a function of its flags, all randomness
+flows through the documented seed expansion, and each report records the
+flags that ran.  Exit status encodes the outcome:
 0 clean, 1 when a verification found violations, 2 for a refused argument,
 3 for a crash.  A refusal, raised here or in the package, is a ValueError,
 BudgetError or TapeExhausted, and ``main`` prints it as one line on stderr,
@@ -12,7 +13,7 @@ BudgetError or TapeExhausted, and ``main`` prints it as one line on stderr,
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -21,8 +22,8 @@ from . import acceptance, bitsampler, languages, owf, threshold, turing
 from .errors import BudgetError, TapeExhausted
 from .report import Table, render
 
-# (type, choices) of each flag.  argparse applies them to flags, and
-# _merge_config holds --config file values to the same.
+# (type, choices) of each flag.  argparse applies them to the flags given but
+# not to a Command's defaults; tests/test_cli.py holds the defaults to them.
 FLAG_TYPES = {
     "seed": (int, None),
     "beta": (int, None),
@@ -51,57 +52,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name, help=command.help)
-        cmd.add_argument("--config", help="JSON file of flag defaults (flags win)")
-        for key in command.flags:
+        for key, default in command.flags.items():
             kind, choices = FLAG_TYPES[key]
             cmd.add_argument(
                 "--" + key.replace("_", "-"),
                 dest=key,
                 type=kind,
                 choices=choices,
+                default=default,
                 help="rational like 8 or 50/3" if key == "alpha" else None,
             )
     return parser
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    flags = COMMANDS[args.command].flags
-    merged = dict(flags)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_values = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
-            raise ValueError(f"cannot read config file: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ValueError("the config file must hold a JSON object")
-        for key, value in file_values.items():
-            if key not in flags:
-                raise ValueError(
-                    f"config key {key!r}: owflab {args.command} has no such flag"
-                )
-            _check_config_value(key, value)
-        merged.update(file_values)
-    for key in flags:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _check_config_value(key: str, value) -> None:
-    """Refuse a file value the flag would not accept.  JSON values are
-    already typed, so they are checked rather than converted: "7" is not an
-    integer, and true is not one either.  An alpha of null asks for the
-    alpha derived from beta."""
-    kind, choices = FLAG_TYPES[key]
-    if value is None and key == "alpha":
-        return
-    if type(value) is not kind:
-        want = "an integer" if kind is int else "a string"
-        raise ValueError(f"config key {key!r}: {value!r} is not {want}")
-    if choices and value not in choices:
-        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(choices)}")
 
 
 # The --oracle spellings besides power:R, the r-th powers.  An entry reads
@@ -136,13 +97,10 @@ def _parse_alpha(value) -> Fraction | None:
         raise ValueError(f"alpha {value!r} has a zero denominator") from None
 
 
-def _write(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-        return
+def _write(out: str, fmt: str, command: str, fields: dict) -> None:
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
+            render(fmt, command, fields, fh)
     except OSError as exc:
         raise ValueError(f"cannot write the output: {exc}") from None
 
@@ -245,8 +203,9 @@ def _cmd_census(cfg: dict) -> tuple[dict, bool]:
 class Command(NamedTuple):
     """An owflab command: the handler, which returns the report's fields and
     whether the run found no violations; the help line; and each flag the
-    handler reads, with its default.  A command without --format writes
-    JSON, since its report nests lists and objects that CSV cannot hold."""
+    run reads, with the default its argparse subparser holds.  A command
+    without --format writes JSON, since its report nests lists and objects
+    that CSV cannot hold."""
 
     run: Callable[[dict], tuple[dict, bool]]
     help: str
@@ -272,13 +231,18 @@ COMMANDS = {
 }
 
 
+def _settings(args: argparse.Namespace) -> dict:
+    """The run's settings: each flag its command declares, as parsed."""
+    return {key: getattr(args, key) for key in COMMANDS[args.command].flags}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args)
+        cfg = _settings(args)
         fields, passed = COMMANDS[args.command].run(cfg)
-        _write(cfg["out"], render(cfg.get("format", "json"), args.command, fields))
+        _write(cfg["out"], cfg.get("format", "json"), args.command, fields)
         return EXIT_OK if passed else EXIT_VIOLATIONS
     except (BudgetError, TapeExhausted, ValueError) as exc:
         print(f"owflab: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ class BudgetError(RuntimeError):
 
 
 class TapeExhausted(RuntimeError):
-    """A bit tape ran out before the requested draw; nothing was consumed."""
+    """A bit tape holds fewer bits than a read or a run needs.  It is raised
+    before the read that would run out, which consumes nothing; bits read
+    before it, such as ``owf_evaluate``'s payload, stay consumed."""
 
 
 class DegenerateParameters(ValueError):

@@ -192,7 +192,10 @@ def owf_evaluate(
 
     Deterministic in the input's bits.  The input needs n*cost0 +
     weight(payload)*(cost1 - cost0) tape bits, its ``bits_consumed``; when
-    the tape holds fewer, TapeExhausted is raised before any round.
+    the tape holds fewer, TapeExhausted is raised before any round.  So is
+    DegenerateParameters when the payload has a 1 bit and the b=1 branch
+    cannot draw m of n.  Either refusal leaves the cursor just past the n
+    payload bits.
     """
     tape = w if isinstance(w, BitTape) else BitTape(w)  # a word must be over 0/1
     start = tape.cursor
@@ -206,6 +209,8 @@ def owf_evaluate(
             f"payload {payload:0{n}b} needs {need} tape bits, "
             f"the input has {tape.remaining()}"
         )
+    if payload:
+        _require_b1_feasible(params)
     sets = []
     for i in range(n):
         b = payload >> (n - 1 - i) & 1

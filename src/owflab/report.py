@@ -4,10 +4,10 @@ report are written by ``render``, with ``Table`` as the row type."""
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import time
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 
 class Table(NamedTuple):
@@ -29,13 +29,16 @@ def _plain(value):
     return value
 
 
-def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> str:
-    """Serialize one report: the scalars and Tables in ``fields``, in order.
+def render(fmt: str, command: str, fields: dict, out: TextIO, *,
+           timestamp: bool = True) -> None:
+    """Write one report to the text stream ``out``: the scalars and Tables
+    in ``fields``, in order.
 
     JSON is ``timestamp`` and then ``fields``, each Table as a list of row
     objects.  CSV is a ``# generated`` line, a ``# owflab COMMAND k=v ...``
     line of the scalars (none when there are none), then each Table as a
-    header and its rows, each Table after the first under ``# NAME``."""
+    header and its rows, each Table after the first under ``# NAME``.
+    The text goes to ``out`` as it is serialized; it is never held whole."""
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if fmt == "json":
         payload = {"timestamp": stamp} if timestamp else {}
@@ -43,8 +46,13 @@ def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> s
             if isinstance(value, Table):
                 value = [dict(zip(value.columns, row)) for row in value.rows]
             payload[name] = value
-        return json.dumps(payload, indent=2) + "\n"
-    out = io.StringIO()
+        # Join the encoder's small chunks before writing: an unbuffered
+        # stream, such as stdout under PYTHONUNBUFFERED, pays for each write.
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while text := "".join(itertools.islice(chunks, 4096)):
+            out.write(text)
+        out.write("\n")
+        return
     if timestamp:
         out.write(f"# generated {stamp}\n")
     scalars = [f"{k}={_plain(v)}" for k, v in fields.items() if not isinstance(v, Table)]
@@ -57,4 +65,3 @@ def render(fmt: str, command: str, fields: dict, *, timestamp: bool = True) -> s
             out.write(f"# {name.replace('_', ' ')}\n")
         writer.writerow(table.columns)
         writer.writerows([_plain(v) for v in row] for row in table.rows)
-    return out.getvalue()

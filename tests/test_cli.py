@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from owflab import acceptance, cli, languages, owf, report, threshold, turing
+from owflab import acceptance, cli, languages, report, threshold, turing
 from owflab.cli import main
 
 
@@ -267,12 +269,19 @@ def test_csv_and_json_carry_the_same_rows(tmp_path, monkeypatch, args, tables):
     assert csv_tables(reports["csv"]) == expected
 
 
+def rendered(fmt, command, fields):
+    """The report ``render`` writes, without its timestamp."""
+    out = io.StringIO()
+    report.render(fmt, command, fields, out, timestamp=False)
+    return out.getvalue()
+
+
 def test_criterion_detail_survives_csv():
     detail = 'max "41" of 41, 0 failures'
     result = acceptance.CriterionResult("C0", "quoted", False, detail, 0.0, 1.0)
     config = acceptance.VerifyConfig(seed=3, trials=7)
     fields = acceptance.report_fields([result], config)
-    text = report.render("csv", "verify-all", fields, timestamp=False)
+    text = rendered("csv", "verify-all", fields)
     assert text.splitlines()[0] == (
         '# owflab verify-all config={"seed": 3, "trials": 7, "owf_trials": 7, '
         '"k_profile": "practical"} all_passed=0'
@@ -284,9 +293,9 @@ def test_criterion_detail_survives_csv():
 
 def test_a_missing_value_renders_empty_in_csv_and_null_in_json():
     fields = {"rows": report.Table(("x", "holds"), [(1, None), (2, True)])}
-    csv_text = report.render("csv", "demo", fields, timestamp=False)
+    csv_text = rendered("csv", "demo", fields)
     assert csv_text == "x,holds\n1,\n2,1\n"
-    json_text = report.render("json", "demo", fields, timestamp=False)
+    json_text = rendered("json", "demo", fields)
     assert json.loads(json_text) == {
         "rows": [{"x": 1, "holds": None}, {"x": 2, "holds": True}]
     }
@@ -387,18 +396,6 @@ def test_sample_without_alpha_records_the_derived_alpha(tmp_path):
     assert (params["seed"], params["oracle"]) == (1, "sq")
 
 
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ell": 10, "oracle": "cube"}))
-    out = tmp_path / "density.csv"
-    assert run_cli(
-        ["density", "--config", str(cfg), "--ell", "30", "--out", str(out)]
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert "oracle=cube" in lines[1]  # from the file
-    assert len(lines) == 3 + 30  # the flag beat the file
-
-
 def test_owf_infeasible_tape_is_reported(capsys):
     # At the bottom of an n-band the tape cannot fund the rounds; the CLI
     # turns the exhaustion diagnostic into a usage error.
@@ -423,45 +420,15 @@ def test_owf_reads_its_seeded_input_without_spelling_it_out(capsys):
     assert peak < 1 << 20
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"elll": 10}))
-    assert run_cli(["density", "--config", str(cfg)]) == 2
-
-
 @pytest.mark.parametrize(
-    "values",
+    "args",
     [
-        {"seed": "7"},  # a string where the flag takes an integer
-        {"seed": True},
-        {"ell": 60.5},
-        {"alpha": 8},  # the flag takes a string such as "8" or "50/3"
-        {"format": "xml"},
-        {"k_profile": "fast"},
+        ["sample", "--trials", "1000", "--alpha", "1/0"],
+        ["owf", "--alpha", "1/0"],
     ],
+    ids=["sample-flag", "owf-flag"],
 )
-def test_config_file_bad_value_is_usage_error(tmp_path, capsys, values):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
-    assert run_cli(["owf", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config key" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "args, config",
-    [
-        (["sample", "--trials", "1000", "--alpha", "1/0"], None),
-        (["owf", "--alpha", "1/0"], None),
-        (["owf"], {"alpha": "0/0"}),
-    ],
-    ids=["sample-flag", "owf-flag", "owf-config"],
-)
-def test_zero_denominator_alpha_is_usage_error(tmp_path, capsys, args, config):
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        args = args + ["--config", str(cfg)]
+def test_zero_denominator_alpha_is_usage_error(capsys, args):
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "zero denominator" in err
@@ -503,36 +470,30 @@ def test_the_largest_verify_all_seed_runs_every_seeded_criterion():
         assert acceptance.run_criterion(ident, config).passed, ident
 
 
-# Every refusal, whether the CLI or the package raises it: the arguments
-# that provoke it and, where it takes one, the text of its --config file.
+# Every refusal, whether the CLI or the package raises it, and the arguments
+# that provoke it.
 REFUSALS = {
-    "config-unreadable": (["owf", "--config", "{tmp}/absent.json"], None),
-    "config-not-json": (["owf", "--config", "{cfg}"], "{seed: 7}"),
-    "config-not-an-object": (["owf", "--config", "{cfg}"], "[1, 2]"),
-    "config-unknown-key": (["density", "--config", "{cfg}"], '{"elll": 10}'),
-    "config-value-type": (["owf", "--config", "{cfg}"], '{"seed": "7"}'),
-    "config-value-choice": (["owf", "--config", "{cfg}"], '{"k_profile": "fast"}'),
-    "unknown-oracle": (["density", "--oracle", "nope"], None),
-    "alpha-zero-denominator": (["owf", "--alpha", "1/0"], None),
-    "unwritable-out": (["census", "--ell", "4", "--out", "{tmp}/no/x.csv"], None),
-    "seed": (["verify-all", "--trials", "1000", "--seed", "-1"], None),
-    "trials": (["verify-all", "--trials", "999"], None),
-    "alpha-at-most-one": (["owf", "--alpha", "1"], None),
-    "alpha-guard": (["owf", "--alpha", "100001"], None),
-    "census-guard": (["census", "--ell", str(turing.CENSUS_LENGTH_GUARD + 1)], None),
-    "threshold-guard": (["threshold", "--n", str(threshold.SANDWICH_MAX_N + 1)], None),
-    "density-guard": (["density", "--ell", str(languages.DENSITY_TABLE_LIMIT + 1)], None),
-    "tape-exhausted": (["owf", "--ell", "80", "--k-profile", "practical"], None),
+    "unknown-oracle": ["density", "--oracle", "nope"],
+    "alpha-zero-denominator": ["owf", "--alpha", "1/0"],
+    "unwritable-out": ["census", "--ell", "4", "--out", "{tmp}/no/x.csv"],
+    "out-full": ["density", "--ell", "30000", "--format", "json", "--out", "/dev/full"],
+    "seed": ["verify-all", "--trials", "1000", "--seed", "-1"],
+    "trials": ["verify-all", "--trials", "999"],
+    "alpha-at-most-one": ["owf", "--alpha", "1"],
+    "alpha-guard": ["owf", "--alpha", "100001"],
+    "census-guard": ["census", "--ell", str(turing.CENSUS_LENGTH_GUARD + 1)],
+    "threshold-guard": ["threshold", "--n", str(threshold.SANDWICH_MAX_N + 1)],
+    "density-guard": ["density", "--ell", str(languages.DENSITY_TABLE_LIMIT + 1)],
+    "tape-exhausted": ["owf", "--ell", "80", "--k-profile", "practical"],
+    # n = 3 and m = 4: the b=1 branch cannot draw m of n.
+    "b1-infeasible": ["owf", "--ell", "400000000", "--beta", "3", "--alpha", "100",
+                      "--k-profile", "practical"],
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_every_refusal_prints_one_owflab_line(tmp_path, capsys, case):
-    args, config = REFUSALS[case]
-    cfg = tmp_path / "cfg.json"
-    if config is not None:
-        cfg.write_text(config)
-    args = [arg.format(tmp=tmp_path, cfg=cfg) for arg in args]
+    args = [arg.format(tmp=tmp_path) for arg in REFUSALS[case]]
     assert run_cli(args) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -566,61 +527,27 @@ def test_threshold_refuses_n_past_the_bound_before_any_row(tmp_path, monkeypatch
     assert set(walks) == {4, 5}
 
 
-def test_config_file_typed_values_run(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 99, "alpha": "8", "k_profile": "paper"}))
-    out = tmp_path / "owf.json"
-    assert run_cli(["owf", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["sets"] == [[4], [3]]
-
-
 @pytest.mark.parametrize(
-    "args, config",
+    "args",
     [
-        (["verify-all", "--trials", "1000", "--oracle", "cube"], None),
-        (["census", "--seed", "4"], None),
-        (["density", "--trials", "5"], None),
-        (["density"], {"beta": 3}),
+        ["verify-all", "--trials", "1000", "--oracle", "cube"],
+        ["census", "--seed", "4"],
+        ["density", "--trials", "5"],
+        ["owf", "--config", "f.json"],
     ],
-    ids=["verify-all-oracle", "census-seed", "density-trials", "density-config-beta"],
+    ids=["verify-all-oracle", "census-seed", "density-trials", "owf-config-file"],
 )
-def test_unread_flag_or_config_key_is_usage_error(tmp_path, args, config):
-    # A run must not report parameters it never used.
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        args = args + ["--config", str(cfg)]
+def test_unread_flag_or_config_key_is_usage_error(tmp_path, capsys, args):
+    # A run must not report parameters it never used.  Flags are the one
+    # input, so --config is argparse's unknown flag like any other.
     out = tmp_path / "report"
     assert run_cli(args + ["--out", str(out)]) == 2
+    assert "unrecognized arguments: " + " ".join(args[-2:]) in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, config",
-    [("owf", {}), ("sample", {"trials": 1000})],
-)
-def test_config_alpha_null_asks_for_the_derived_alpha(
-    tmp_path, monkeypatch, command, config
-):
-    # owf defaults alpha to "8", yet null in a config file still asks for
-    # the alpha derived from beta, 18 at beta = 3, as it does for sample.
-    alphas = []
-    sampler_params = owf.sampler_params
-
-    def recording(*args):
-        params = sampler_params(*args)
-        alphas.append(params.alpha)
-        return params
-
-    monkeypatch.setattr(owf, "sampler_params", recording)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**config, "alpha": None, "beta": 3}))
-    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
-    assert set(alphas) == {18}
-
-
 class RecordingConfig(dict):
-    """A merged config that records the keys read from it."""
+    """A run's settings that record the keys read from them."""
 
     def __init__(self, values):
         super().__init__(values)
@@ -652,17 +579,61 @@ def test_every_declared_flag_is_read(tmp_path, monkeypatch, command):
         acceptance, "CRITERIA", tuple(c for c in acceptance.CRITERIA if c.ident == "C6")
     )
     configs = []
-    merge = cli._merge_config
+    settings = cli._settings
 
-    def recording_merge(args):
-        configs.append(RecordingConfig(merge(args)))
+    def recording_settings(args):
+        configs.append(RecordingConfig(settings(args)))
         return configs[-1]
 
-    monkeypatch.setattr(cli, "_merge_config", recording_merge)
+    # main reads out and format from the same settings the handler gets.
+    monkeypatch.setattr(cli, "_settings", recording_settings)
     args = [command, *TINY_RUNS[command], "--out", str(tmp_path / "report")]
     assert run_cli(args) == 0
     (cfg,) = configs
     assert cfg.read == set(cli.COMMANDS[command].flags)
+
+
+def test_every_default_has_its_flags_type_and_choice():
+    # argparse converts a string default by the flag's type and checks no
+    # default against its choices, so the table itself is held to them here.
+    for name, command in cli.COMMANDS.items():
+        for key, default in command.flags.items():
+            kind, choices = cli.FLAG_TYPES[key]
+            if default is None:
+                assert key == "alpha", (name, key)
+                continue
+            assert type(default) is kind, (name, key, default)
+            assert choices is None or default in choices, (name, key, default)
+
+
+def readme_defaults():
+    """The README's table of flags and defaults, as {command: {flag: value}};
+    a flag without a value, such as sample's --alpha, maps to None."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command      | flags and defaults |\n", 1)[1].split("\n\n", 1)[0]
+    commands = {}
+    for line in table.splitlines()[1:]:
+        _, name, spec, _ = line.split("|")
+        spec = re.sub(r"\([^)]*\)", "", spec)  # a note such as "(derived from ...)"
+        words = " ".join(re.findall(r"`([^`]*)`", spec)).split()
+        flags = {}
+        for i, word in enumerate(words):
+            if word.startswith("--"):
+                value = words[i + 1] if i + 1 < len(words) else None
+                flags[word] = None if value is None or value.startswith("--") else value
+        commands[name.strip().strip("`")] = flags
+    return commands
+
+
+def test_readme_defaults_table_matches_the_commands():
+    expected = {
+        name: {
+            "--" + key.replace("_", "-"): None if default is None else str(default)
+            for key, default in command.flags.items()
+        }
+        for name, command in cli.COMMANDS.items()
+    }
+    assert readme_defaults() == expected
 
 
 def test_readme_cli_examples_parse():

@@ -292,6 +292,31 @@ def test_owf_refuses_a_short_tape_from_its_cursor():
         owf_evaluate(tape, 1, "paper", alpha=8)
 
 
+@pytest.mark.parametrize(
+    "ell, beta, k_profile, alpha, error",
+    [
+        # n = 3 and m = 4: the b=1 branch cannot draw m of n.  Seed 1's
+        # payload opens with a 0 bit, so a b=0 round could run first.
+        (4 * 10**8, 3, "practical", 100, DegenerateParameters),
+        (100, 1, "paper", 8, TapeExhausted),
+    ],
+    ids=["b1-infeasible", "tape-exhausted"],
+)
+def test_owf_refuses_before_any_round(ell, beta, k_profile, alpha, error):
+    # Either refusal leaves the cursor just past the n payload bits.
+    tape = BitTape.from_seed(1, ell)
+    with pytest.raises(error):
+        owf_evaluate(tape, beta, k_profile, alpha)
+    assert tape.cursor == compute_n(ell, beta)
+
+
+def test_owf_runs_a_b1_infeasible_cell_on_an_all_zero_payload():
+    # Seed 15's payload is 000, so only b=0 rounds run and m > n is no bar.
+    out = owf_evaluate(BitTape.from_seed(15, 4 * 10**8), 3, "practical", 100)
+    assert (out.n, out.params.m, out.params.b1_feasible) == (3, 4, False)
+    assert [len(s.members) for s in out.sets] == [4, 4, 4]
+
+
 def _per_trial_experiment(n, beta, oracle, trials, seed, *, alpha, k_profile):
     """sampling_error_experiment as one loop that prices each trial's
     thinned urn on its own: the reference for the priced-once table."""
