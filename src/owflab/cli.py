@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -101,7 +102,17 @@ def _write(out: str, fmt: str, command: str, fields: dict) -> None:
     try:
         with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
             render(fmt, command, fields, fh)
+            fh.flush()
     except OSError as exc:
+        if out == "-" and isinstance(exc, BrokenPipeError):
+            # The reader closed stdout early, as `| head` does: the rest of
+            # the report is unwanted, not refused, and the run's status
+            # stands.  stdout goes to devnull so that its flush at exit
+            # meets no closed pipe.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return
         raise ValueError(f"cannot write the output: {exc}") from None
 
 

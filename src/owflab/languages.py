@@ -38,9 +38,9 @@ from .errors import BudgetError
 from .words import Word, gn_of_integer, goedel_inverse, iroot, word_value
 
 ENUMERATION_BUDGET = 10_000_000
-# owflab density holds every row of its table, and a JSON report one object
-# per row, so the table stops well short of the scan's budget (see the
-# README's bounds).
+# owflab density holds every row of its table, so the table stops well short
+# of the scan's budget; a JSON report makes each row's object as it writes it
+# and peaks as CSV does (see the README's bounds).
 DENSITY_TABLE_LIMIT = 200_000
 # A member test builds 2**r.  Below 2**64, beyond any word a scan or an urn
 # reaches, no r-th power but 1 exists for r >= 64, so a larger r adds only cost.

@@ -1,11 +1,13 @@
 """The injective, order-preserving block reduction into the squares.
 
-``reduce_phi`` maps a word w to  code || w || 0**nu  interpreted in binary,
-with nu chosen so the total length is an exact multiple lambda of
-k = len(code) + len(w), then adds the distance Delta to the next perfect
-square.  Blocks are located by fixed offsets rather than in-band separators,
-so they are recoverable exactly; because the trailer is all zeroes and Delta
-fits inside it, the addition never carries into the source or code blocks.
+``reduce_phi`` maps a word w to  code || w || 0**nu  read in binary, with nu
+chosen so the total length is an exact multiple lambda of
+k = len(code) + len(w), adds the distance Delta to the next perfect square,
+and returns that square's value.  The code starts with 1, so the image word
+is ``min_word`` of the value.  Blocks are located by fixed offsets rather
+than in-band separators, so they are recoverable exactly; because the
+trailer is all zeroes and Delta fits inside it, the addition never carries
+into the source or code blocks.
 The map is injective and strictly increasing: a shorter source gives a
 shorter (hence smaller) image, and equal-length sources keep their numeric
 order.  ``density_transfer_check`` counts a language and its image at
@@ -15,7 +17,6 @@ corresponding points, where the image must be at least as dense.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import BudgetError, InvariantViolation
@@ -30,31 +31,9 @@ def next_square_delta(x: int) -> int:
     return 0 if rem == 0 else (root + 1) ** 2 - x
 
 
-@dataclass(frozen=True)
-class PhiImage:
-    """Image of the block reduction: ``image`` is code || source || trailer,
-    and the source and code lengths locate the blocks."""
-
-    source: Word
-    code: Word
-    image: Word
-
-    @property
-    def code_block(self) -> Word:
-        return self.image[: len(self.code)]
-
-    @property
-    def source_block(self) -> Word:
-        return self.image[len(self.code) : len(self.code) + len(self.source)]
-
-    @property
-    def value(self) -> int:
-        return word_value(self.image)
-
-
-def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
-    """Build the square-valued image  code || w || trailer  of total length
-    lam * (len(code) + len(w))."""
+def reduce_phi(w: Word, code: Word, lam: int) -> int:
+    """The value of the square image  code || w || trailer, whose word has
+    length lam * (len(code) + len(w))."""
     if lam < 3:
         raise ValueError("the block multiple lambda must be >= 3")
     if not code or code[0] != "1":
@@ -64,7 +43,8 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
     k = len(code) + len(w)
     total = lam * k
     nu = total - k
-    base = (word_value(code + w)) << nu
+    prefix = word_value(code + w)
+    base = prefix << nu
     delta = next_square_delta(base)
     if delta.bit_length() > nu:
         # Only possible for tiny k (k*(lam/2 - 1) < 3); the construction's
@@ -73,11 +53,10 @@ def reduce_phi(w: Word, code: Word, lam: int) -> PhiImage:
             f"square distance needs {delta.bit_length()} bits but the "
             f"trailer has only {nu}; use a longer code or larger lambda"
         )
-    image = format(base + delta, f"0{total}b")
-    result = PhiImage(source=w, code=code, image=image)
-    if result.code_block != code or result.source_block != w:
-        raise InvariantViolation(f"blocks of {image!r} do not recover code and w")
-    return result
+    image = base + delta
+    if image >> nu != prefix:
+        raise InvariantViolation(f"the square distance carries into the code and w of {image}")
+    return image
 
 
 TRANSFER_BUDGET = 2**20  # largest limit density_transfer_check enumerates
@@ -113,11 +92,9 @@ def density_transfer_check(
     ]
     # member_values is increasing; the images are sorted rather than assumed
     # to keep that order, so the image count does not take phi's order on trust.
-    member_images = sorted(
-        reduce_phi(min_word(y), code, lam).value for y in member_values
-    )
+    member_images = sorted(reduce_phi(min_word(y), code, lam) for y in member_values)
     return [
         (bisect_right(member_values, wv),
-         bisect_right(member_images, reduce_phi(w, code, lam).value))
+         bisect_right(member_images, reduce_phi(w, code, lam)))
         for w, wv in zip(thresholds, values)
     ]

@@ -29,6 +29,25 @@ def _plain(value):
     return value
 
 
+class _RowObjects(list):
+    """A Table's rows as JSON objects, each made when the encoder reaches it.
+
+    The pure-Python encoder, which ``iterencode`` always runs, reads a list
+    only through ``if not lst`` and ``for value in lst``; the list's own
+    storage stays empty."""
+
+    def __init__(self, table: Table):
+        super().__init__()
+        self.table = table
+
+    def __len__(self):
+        return len(self.table.rows)
+
+    def __iter__(self):
+        columns = self.table.columns
+        return (dict(zip(columns, row)) for row in self.table.rows)
+
+
 def render(fmt: str, command: str, fields: dict, out: TextIO, *,
            timestamp: bool = True) -> None:
     """Write one report to the text stream ``out``: the scalars and Tables
@@ -38,13 +57,14 @@ def render(fmt: str, command: str, fields: dict, out: TextIO, *,
     objects.  CSV is a ``# generated`` line, a ``# owflab COMMAND k=v ...``
     line of the scalars (none when there are none), then each Table as a
     header and its rows, each Table after the first under ``# NAME``.
-    The text goes to ``out`` as it is serialized; it is never held whole."""
+    The text goes to ``out`` as it is serialized; it is never held whole,
+    and neither are a Table's row objects."""
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if fmt == "json":
         payload = {"timestamp": stamp} if timestamp else {}
         for name, value in fields.items():
             if isinstance(value, Table):
-                value = [dict(zip(value.columns, row)) for row in value.rows]
+                value = _RowObjects(value)
             payload[name] = value
         # Join the encoder's small chunks before writing: an unbuffered
         # stream, such as stdout under PYTHONUNBUFFERED, pays for each write.

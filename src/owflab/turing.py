@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import BudgetError, InvariantViolation
-from .words import Word
+from .words import Word, goedel_number
 
 ACCEPT = 0
 REJECT = 1
@@ -201,6 +201,7 @@ def diagonal_member(w: Word) -> bool:
             f"length {length} exceeds the toy-scale guard "
             f"{DIAGONAL_LENGTH_GUARD} (T grows as 2**length)"
         )
+    goedel_number(w)  # refuses a string that is not over 0/1
     outcome, _ = simulate(decode_program(w), w, 2**length)
     return outcome == "reject"
 

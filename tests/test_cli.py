@@ -279,7 +279,7 @@ def rendered(fmt, command, fields):
 def test_criterion_detail_survives_csv():
     detail = 'max "41" of 41, 0 failures'
     result = acceptance.CriterionResult("C0", "quoted", False, detail, 0.0, 1.0)
-    config = acceptance.VerifyConfig(seed=3, trials=7)
+    config = acceptance.VerifyConfig(seed=3, trials=7, k_profile="practical")
     fields = acceptance.report_fields([result], config)
     text = rendered("csv", "verify-all", fields)
     assert text.splitlines()[0] == (
@@ -300,6 +300,36 @@ def test_a_missing_value_renders_empty_in_csv_and_null_in_json():
         "rows": [{"x": 1, "holds": None}, {"x": 2, "holds": True}]
     }
     assert '"holds": null' in json_text
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 257])
+def test_json_tables_match_a_dumps_of_their_row_objects(n_rows):
+    # render hands the encoder each row's object as it reaches it; the text
+    # must be what json.dumps makes of the row objects built in full.
+    rows = [(x, x % 3 == 0, None if x % 5 else "five") for x in range(n_rows)]
+    fields = {"n": n_rows, "rows": report.Table(("x", "holds", "note"), rows)}
+    expected = {"n": n_rows, "rows": [dict(zip(("x", "holds", "note"), r)) for r in rows]}
+    assert rendered("json", "demo", fields) == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_reader_that_closes_the_pipe_leaves_the_run_status(fmt):
+    # The report is about 0.9 MB, far past a pipe's buffer, so the run is
+    # still writing when its reader goes.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "owflab.cli", "density", "--ell", "30000", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("command", ["sample", "owf"])
@@ -465,7 +495,7 @@ def test_verify_all_refuses_an_out_of_range_seed_before_any_criterion(
 
 
 def test_the_largest_verify_all_seed_runs_every_seeded_criterion():
-    config = acceptance.VerifyConfig(seed=2**64 - 5, trials=1000)
+    config = acceptance.VerifyConfig(seed=2**64 - 5, trials=1000, k_profile="practical")
     for ident in ("C7", "C8", "C10"):
         assert acceptance.run_criterion(ident, config).passed, ident
 

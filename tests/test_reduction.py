@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from owflab.languages import EMPTY, SQ
 from owflab.reduction import (
@@ -38,13 +40,13 @@ def test_reduce_phi_minimal_example():
     image = reduce_phi("1", CODE, 3)
     k = len(CODE) + len("1")
     assert k == 11
-    assert len(image.image) == 3 * k == 33
-    assert SQ.member(image.image)
-    assert image.code_block == CODE
-    assert image.source_block == "1"
+    assert image.bit_length() == 3 * k == 33
+    assert SQ.member(min_word(image))
+    assert min_word(image)[: len(CODE)] == CODE
+    assert min_word(image)[len(CODE) : k] == "1"
     # The square distance fits in the zero trailer, so it never carries.
-    nu = len(image.image) - len(image.code) - len(image.source)
-    delta = image.value - (word_value(CODE + "1") << nu)
+    nu = image.bit_length() - k
+    delta = image - (word_value(CODE + "1") << nu)
     assert 0 <= delta and delta.bit_length() <= nu
 
 
@@ -64,15 +66,26 @@ def test_reduce_phi_blocks_recoverable():
     for _ in range(200):
         length = rng.randrange(1, 24)
         w = format(rng.getrandbits(length), f"0{length}b")
-        image = reduce_phi(w, CODE, 3)
-        assert image.source_block == w
-        assert image.code_block == CODE
-        assert len(image.image) == 3 * (len(CODE) + len(w))
+        image = min_word(reduce_phi(w, CODE, 3))
+        assert image[len(CODE) : len(CODE) + len(w)] == w
+        assert image[: len(CODE)] == CODE
+        assert len(image) == 3 * (len(CODE) + len(w))
+
+
+@given(st.integers(1, 8), st.text(alphabet="01", max_size=40))
+def test_reduce_phi_keeps_leading_zeros_of_the_source(zeros, rest):
+    # The image's minimal word spells code || w || trailer in full, so a
+    # source's leading zeros survive in its block.
+    w = "0" * zeros + rest
+    image = min_word(reduce_phi(w, CODE, 3))
+    assert len(image) == 3 * (len(CODE) + len(w))
+    assert image.startswith(CODE + w)
+    assert SQ.member(image)
 
 
 def test_reduce_phi_images_are_squares():
     for y in range(1, 400):
-        assert SQ.member(reduce_phi(min_word(y), CODE, 3).image)
+        assert SQ.member(min_word(reduce_phi(min_word(y), CODE, 3)))
 
 
 def test_reduce_phi_order_preserving_on_equal_lengths():
@@ -86,7 +99,7 @@ def test_reduce_phi_order_preserving_on_equal_lengths():
             v1, v2 = v2, v1
         w1 = format(v1, f"0{length}b")
         w2 = format(v2, f"0{length}b")
-        assert reduce_phi(w1, CODE, 3).value < reduce_phi(w2, CODE, 3).value
+        assert reduce_phi(w1, CODE, 3) < reduce_phi(w2, CODE, 3)
 
 
 def test_reduce_phi_shorter_source_means_smaller_image():
@@ -98,8 +111,8 @@ def test_reduce_phi_shorter_source_means_smaller_image():
         w2 = format(rng.getrandbits(l2), f"0{l2}b")
         img1 = reduce_phi(w1, CODE, 3)
         img2 = reduce_phi(w2, CODE, 3)
-        assert len(img1.image) < len(img2.image)
-        assert img1.value < img2.value
+        assert img1.bit_length() < img2.bit_length()
+        assert img1 < img2
 
 
 def test_reduce_phi_injective_on_random_pairs():
@@ -108,7 +121,7 @@ def test_reduce_phi_injective_on_random_pairs():
     for _ in range(100_000):
         length = rng.randrange(1, 28)
         w = format(rng.getrandbits(length), f"0{length}b")
-        v = reduce_phi(w, CODE, 3).value
+        v = reduce_phi(w, CODE, 3)
         if w in seen:
             assert seen[w] == v
         else:
@@ -152,10 +165,10 @@ def test_density_transfer_counts_match_a_brute_force_count(member):
     members = [min_word(y) for y in range(1, limit + 1) if member(min_word(y))]
     expected = []
     for w in thresholds:
-        phi_w = reduce_phi(w, CODE, 3).value
+        phi_w = reduce_phi(w, CODE, 3)
         expected.append((
             sum(word_value(v) <= word_value(w) for v in members),
-            sum(reduce_phi(v, CODE, 3).value <= phi_w for v in members),
+            sum(reduce_phi(v, CODE, 3) <= phi_w for v in members),
         ))
     assert any(source < image for source, image in expected)
     assert density_transfer_check(member, CODE, 3, limit, thresholds) == expected

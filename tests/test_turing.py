@@ -124,6 +124,12 @@ def test_diagonal_membership():
         diagonal_member("0" * 21)
 
 
+@pytest.mark.parametrize("w", ["xyz", "0a1", "1 1", "01\n"])
+def test_diagonal_membership_refuses_a_word_not_over_0_1(w):
+    with pytest.raises(ValueError, match="not a bit string"):
+        diagonal_member(w)
+
+
 def test_diagonal_census_frozen_values():
     assert diagonal_census(4) == 16
     assert diagonal_census(6) == 64
