@@ -35,10 +35,13 @@ on which that floor takes one value, the other k - c bits cannot change it
 the leading c = bit length of R + 64 bits; when the lowest and the highest
 completion of them give the same output it skips the rest, and otherwise it
 reads them and computes from all k.  A draw whose other k - c bits are
-fewer than a block's 256 reads all k at once, since skipping them would
-save less than the test costs.  Outputs and cursors are those of full k-bit
-reads.  Every practical-profile draw reads whole; at the paper profile a
-draw over an urn of 1296 reads 75 of its 1,679,618 bits.
+fewer than a block's 256, that is one whose k is under the bit length of R
+plus the one whole-read constant ``_WHOLE_READ_BITS`` = 64 + 256, reads all
+k at once, since skipping them would save less than the test costs;
+``fisher_yates`` asks the same of its least range to tell whether all its
+draws read whole.  Outputs and cursors are those of full k-bit reads.
+Every practical-profile draw reads whole; at the paper profile a draw over
+an urn of 1296 reads 75 of its 1,679,618 bits.
 
 Every read is ``take(k)``, which returns the next k bits as an integer,
 most significant first.  A literal tape slices them from its string.
@@ -70,9 +73,11 @@ only: it makes those m draws, finds each entry as the idx-th survivor of
 {1..N} with the earlier entries removed (an order statistic, found by a
 binary search over the sorted removed list, Knuth TAOCP 3.4.2), and skips
 the (N-m)*k bits the remaining draws would have read, so outputs and cursor
-match the full pass.  The construction's own budget is k = N**2 + 2 (profile
-name "paper"); the "practical" profile k = ceil(log2 N) + 64 keeps large
-experiments feasible at a correspondingly looser per-draw bias bound.
+match the full pass.  The first draw finds nothing removed, so it makes no
+search; a one-draw selection (m = 1) is that step alone.  The
+construction's own budget is k = N**2 + 2 (profile name "paper"); the
+"practical" profile k = ceil(log2 N) + 64 keeps large experiments feasible
+at a correspondingly looser per-draw bias bound.
 """
 
 from __future__ import annotations
@@ -88,7 +93,9 @@ from .errors import BudgetError, InvariantViolation, TapeExhausted
 PERMUTATION_MAX_N = 6
 # A draw's leading read: the bits its range needs and these guard bits.
 _GUARD_BITS = 64
-_SKIP_MIN_BITS = 256  # a draw that would skip fewer bits, one block, reads all k
+# A draw of fewer bits than its range needs and this reads all k: past its
+# leading read it would skip fewer than one block's 256 bits.
+_WHOLE_READ_BITS = _GUARD_BITS + 256
 _PREFILL_MAX_BITS = 4096  # the most a planned refill runs ahead of the cursor
 
 
@@ -255,11 +262,11 @@ def draw_integer(tape: BitTape, lo: int, hi: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     R = hi - lo + 1
-    c = R.bit_length() + _GUARD_BITS
-    if k < c + _SKIP_MIN_BITS:
+    if k < R.bit_length() + _WHOLE_READ_BITS:
         return lo + ((tape.take(k) * R) >> k)
     if k > tape.remaining():
         tape.skip(k)  # raises TapeExhausted before any bit is consumed
+    c = R.bit_length() + _GUARD_BITS
     p = tape.take(c)
     d = k - c
     pR = p * R
@@ -319,6 +326,8 @@ def fisher_yates(
         raise ValueError("N must be >= 1")
     if k is None:
         k = paper_k(N)
+    elif k < 1:
+        raise ValueError("k must be >= 1")
     if m is None:
         m = N
     if not 0 <= m <= N:
@@ -328,9 +337,8 @@ def fisher_yates(
             f"permutation of {N} elements needs {N * k} bits, "
             f"tape has {tape.remaining()}"
         )
-    # Every draw reads whole when even the least range, N - m + 1, would
-    # leave fewer than _SKIP_MIN_BITS bits to skip.
-    if k < (N - m + 1).bit_length() + _GUARD_BITS + _SKIP_MIN_BITS:
+    # Every draw reads whole when even the least range, N - m + 1, would.
+    if k < (N - m + 1).bit_length() + _WHOLE_READ_BITS:
         tape.will_read(m * k)
     removed: list[int] = []  # the entries drawn so far, ascending
     out = []
@@ -367,7 +375,7 @@ def select_subset(
     cost is the same for every m (N*k bits).
     """
     positions = fisher_yates(tape, len(urn), k, m)
-    return tuple(sorted(urn[pos - 1] for pos in positions))
+    return tuple(sorted([urn[pos - 1] for pos in positions]))
 
 
 class PermutationDistribution(NamedTuple):

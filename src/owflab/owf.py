@@ -20,6 +20,12 @@ tape bits, its ``bits_consumed``, which gives away the payload's weight.
 Everything downstream of the input is deterministic, so equal inputs give
 equal outputs and equal input lengths give equal output shapes.
 
+The result objects, InstanceSet and OwfOutput, are frozen and slotted
+dataclasses that check what they hold when built, each at the cost of what
+it holds: a set of two or more members is tested for sorted and distinct
+(one of at most one is both as it stands), every set's two ends against
+its urn, and an output's shape by comparing each set with the first.
+
 The hardness story this models is not asserted here: the experiments measure
 miss rates against exact hypergeometric values and report them.  The
 inversion demo shows the complementary direction: with a membership decider
@@ -52,7 +58,7 @@ from .words import Word, goedel_inverse
 MIN_TRIALS = 1000  # the fewest trials per branch the error experiment runs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceSet:
     """A drawn set of Goedel indices from the urn {1..urn_bound}."""
 
@@ -60,18 +66,18 @@ class InstanceSet:
     urn_bound: int
 
     def __post_init__(self):
-        if list(self.members) != sorted(set(self.members)):
-            raise InvariantViolation(f"members {self.members} not sorted and distinct")
+        members = self.members
+        # At most one member is sorted and distinct as it stands.
+        if len(members) > 1 and list(members) != sorted(set(members)):
+            raise InvariantViolation(f"members {members} not sorted and distinct")
         # Sorted, so the range check needs only the two ends.
-        if self.members and not (
-            1 <= self.members[0] and self.members[-1] <= self.urn_bound
-        ):
+        if members and not (1 <= members[0] and members[-1] <= self.urn_bound):
             raise InvariantViolation(
-                f"members {self.members} outside the urn [1, {self.urn_bound}]"
+                f"members {members} outside the urn [1, {self.urn_bound}]"
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OwfOutput:
     sets: tuple[InstanceSet, ...]
     n: int
@@ -79,10 +85,12 @@ class OwfOutput:
     params: SamplerParams
 
     def __post_init__(self):
-        cards = {len(w.members) for w in self.sets}
-        bounds = {w.urn_bound for w in self.sets}
-        if len(cards) > 1 or len(bounds) > 1:
-            raise InvariantViolation("output shape must not vary")
+        if self.sets:
+            first = self.sets[0]
+            card, bound = len(first.members), first.urn_bound
+            for w in self.sets:
+                if len(w.members) != card or w.urn_bound != bound:
+                    raise InvariantViolation("output shape must not vary")
 
 
 def compute_n(ell: int, beta: int) -> int:
@@ -214,7 +222,7 @@ def owf_evaluate(
     sets = []
     for i in range(n):
         b = payload >> (n - 1 - i) & 1
-        instance, tape = ptsamp(b, n, tape, params, k_profile)
+        instance, _ = _ptsamp_traced(b, n, tape, params, k_profile)
         sets.append(instance)
     return OwfOutput(
         sets=tuple(sets), n=n, bits_consumed=tape.cursor - start - n, params=params

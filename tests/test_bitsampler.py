@@ -596,13 +596,19 @@ def test_a_lazy_draw_is_the_full_k_read(case):
 
 @st.composite
 def partial_passes(draw):
+    # k from [1, 24] reads every draw whole; k from [320, 400] lets a draw
+    # whose range needs at most k - 320 bits skip.
     N = draw(st.integers(1, 40))
-    k, m = draw(st.integers(1, 24)), draw(st.integers(0, N))
+    k = draw(st.one_of(st.integers(1, 24), st.integers(320, 400)))
+    m = draw(st.integers(0, N))
     return N, k, m, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(partial_passes())
+@example((40, 400, 1, 5))  # a one-draw selection whose draw skips
+@example((40, 400, 2, 5))
+@example((1, 330, 1, 6))
 def test_partial_fisher_yates_is_the_full_pass_prefix(case):
     N, k, m, seed = case
     extra = 5  # the cursor must stop at N*k, not at the end of the tape
@@ -658,6 +664,18 @@ def test_skip_has_the_bounds_check_of_take():
     assert tape.cursor == 0
     tape.skip(4)
     assert tape.take(6) == expand_seed_bits(3, 10) & 0b111111
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+@pytest.mark.parametrize("k", [0, -3])
+def test_fisher_yates_refuses_k_below_1_whatever_it_draws(k, m):
+    # Even a selection that draws nothing checks k, before the budget test.
+    tape = BitTape("0" * 64)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        fisher_yates(tape, 5, k, m)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        select_subset(tape, m, range(1, 6), k)
+    assert tape.cursor == 0
 
 
 def test_fisher_yates_refuses_more_entries_than_elements():

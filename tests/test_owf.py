@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from owflab.errors import (
 from owflab.languages import EMPTY, SIGMA_STAR, SQ, density_scan, power_oracle
 from owflab.owf import (
     InstanceSet,
+    OwfOutput,
     _check_monotone,
     binary_search_invert,
     compute_n,
@@ -90,23 +93,59 @@ def test_ptsamp_validates_inputs():
 
 
 def test_instance_set_validation():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="not sorted and distinct"):
         InstanceSet((3, 3), 16)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="not sorted and distinct"):
+        InstanceSet((5, 3), 16)
+    with pytest.raises(InvariantViolation, match=r"outside the urn \[1, 16\]"):
         InstanceSet((0,), 16)
+    with pytest.raises(InvariantViolation, match=r"outside the urn \[1, 16\]"):
+        InstanceSet((17,), 16)
+    assert InstanceSet((), 16).members == ()
+
+
+@pytest.mark.parametrize(
+    "second",
+    [InstanceSet((1, 2), 16), InstanceSet((1,), 17)],
+    ids=["cardinality", "urn-bound"],
+)
+def test_owf_output_refuses_a_shape_that_varies(second):
+    params = sampler_params(2, 2, alpha=8)
+    with pytest.raises(InvariantViolation, match="^output shape must not vary$"):
+        OwfOutput((InstanceSet((3,), 16), second), 2, 0, params)
+    with pytest.raises(InvariantViolation, match="^output shape must not vary$"):
+        OwfOutput((second, InstanceSet((3,), 16)), 2, 0, params)
+
+
+def test_result_objects_are_frozen_slotted_values():
+    word = "10" + format(expand_seed_bits(5, 598), "0598b")
+    out = owf_evaluate(word, 1, "paper", alpha=8)
+    assert pickle.loads(pickle.dumps(out)) == out
+    assert copy.deepcopy(out) == out
+    assert not hasattr(out, "__dict__") and not hasattr(out.sets[0], "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.sets[0].members = ()
 
 
 def test_instance_set_validation_survives_optimize():
-    # python -O strips assert statements; the invariant must still raise.
+    # python -O strips assert statements; the invariants must still raise.
     script = (
         "from owflab.errors import InvariantViolation\n"
-        "from owflab.owf import InstanceSet\n"
+        "from owflab.owf import InstanceSet, OwfOutput\n"
+        "from owflab.threshold import sampler_params\n"
         "assert False  # stripped under -O, so this line must not stop the run\n"
-        "try:\n"
-        "    InstanceSet((3, 3), 16)\n"
-        "except InvariantViolation:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "params = sampler_params(2, 2, alpha=8)\n"
+        "varying = (InstanceSet((3,), 16), InstanceSet((1, 2), 16))\n"
+        "builds = [\n"
+        "    lambda: InstanceSet((3, 3), 16),\n"
+        "    lambda: OwfOutput(varying, 2, 0, params),\n"
+        "]\n"
+        "for build in builds:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InvariantViolation:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -229,7 +268,8 @@ def test_owf_bits_consumed_is_the_input_need(band, k_profile, payload, slack, se
 )
 def test_owf_refuses_an_infeasible_input_before_any_round(monkeypatch, w, need):
     calls = []
-    monkeypatch.setattr(owf, "ptsamp", lambda *args: calls.append(args))
+    for name in ("ptsamp", "_ptsamp_traced"):
+        monkeypatch.setattr(owf, name, lambda *args: calls.append(args))
     with pytest.raises(TapeExhausted, match=f"needs {need} tape bits, the input has 72$"):
         owf_evaluate(w, 1, "paper", alpha=8)
     assert calls == []
@@ -270,6 +310,41 @@ def test_owf_reads_a_seeded_tape_as_its_spelled_out_word(
     assert _raised(owf_evaluate, tape, beta, k_profile, alpha=8) == _raised(
         owf_evaluate, word, beta, k_profile, alpha=8
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    ell=st.integers(4, 3000),
+    beta=st.sampled_from([1, 2]),
+    k_profile=st.sampled_from(["paper", "practical"]),
+)
+def test_owf_evaluate_is_the_public_rounds_chained(seed, ell, beta, k_profile):
+    # The slow reference: read the n payload bits, then chain the public
+    # ptsamp once per bit, each round on the previous round's tape.
+    word = format(expand_seed_bits(seed, ell), f"0{ell}b")
+    n = compute_n(ell, beta)
+    params = sampler_params(n, beta, alpha=8)
+    reference = BitTape(word)
+    payload = reference.take(n)
+    bits = [payload >> (n - 1 - i) & 1 for i in range(n)]
+    tape = BitTape(word)
+    try:
+        out = owf_evaluate(tape, beta, k_profile, alpha=8)
+    except (TapeExhausted, DegenerateParameters):
+        # The input cannot cover its rounds, so a round of the chain refuses.
+        assert tape.cursor == n
+        with pytest.raises((TapeExhausted, DegenerateParameters)):
+            for b in bits:
+                ptsamp(b, n, reference, params, k_profile)
+        return
+    sets = []
+    for b in bits:
+        instance, reference = ptsamp(b, n, reference, params, k_profile)
+        sets.append(instance)
+    assert out.sets == tuple(sets)
+    assert out.bits_consumed == reference.cursor - n
+    assert tape.cursor == reference.cursor
 
 
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "literal"])
