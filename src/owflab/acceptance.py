@@ -207,8 +207,8 @@ def _criterion_10(config: VerifyConfig) -> tuple[bool, str]:
     cap = math.ceil(math.log2(bound)) + 1
 
     def decider(y: int, upper: int) -> bool:
-        root = math.isqrt(y)
-        return root * root == y and root <= upper
+        root, rest = words.iroot(y, 2)
+        return not rest and root <= upper
 
     failures = 0
     max_queries = 0

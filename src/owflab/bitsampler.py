@@ -10,9 +10,12 @@ Seed expansion (versioned; changing it is a breaking change)
 For a 64-bit unsigned ``seed`` and 64-bit ``stream`` identifier, block i of
 the tape is SHA-256(seed_be8 || stream_be8 || i_be8) where ``_be8`` is the
 8-byte big-endian encoding; blocks are concatenated and each byte is read
-most significant bit first.  This is a fixed counter-mode construction that
-is bit-exact across platforms.  It stands in for an ideal source of
-independent uniform bits and carries no cryptographic claim.
+most significant bit first.  The 8-byte counter numbers 2**64 blocks, so
+the expansion defines only bits below 2**72 (``MAX_SEEDED_BITS``): a read
+that reaches past them, and a seeded tape longer than that, are refused.
+This is a fixed counter-mode construction that is bit-exact across
+platforms.  It stands in for an ideal source of independent uniform bits
+and carries no cryptographic claim.
 
 Single draws follow the subinterval rule: k bits form r = (0.b1...bk)_2 and
 the output over a range of size R is floor(r * R), computed purely in
@@ -97,6 +100,7 @@ _GUARD_BITS = 64
 # leading read it would skip fewer than one block's 256 bits.
 _WHOLE_READ_BITS = _GUARD_BITS + 256
 _PREFILL_MAX_BITS = 4096  # the most a planned refill runs ahead of the cursor
+MAX_SEEDED_BITS = 2**72  # 2**64 blocks of 256 bits: all the expansion defines
 
 
 def paper_k(urn_size: int) -> int:
@@ -130,19 +134,22 @@ def expand_seed_bits(seed: int, nbits: int, stream: int = 0, start: int = 0) -> 
     SHA-256 blocks over (seed, stream, counter), bytes read MSB first.
     Returns them as an integer, the bit at ``start`` most significant;
     ``format(x, f"0{nbits}b")`` spells them out.  Only the blocks that hold
-    those bits are hashed, so a zero-bit request hashes none."""
+    those bits are hashed, so a zero-bit request hashes none.  The 8-byte
+    counter numbers 2**64 blocks, so bits past 2**72 are refused."""
     _check_seed(seed, stream)
     if nbits < 0 or start < 0:
         raise ValueError("nbits and start must be >= 0")
+    end = start + nbits
+    if end > MAX_SEEDED_BITS:
+        raise ValueError(f"bits [{start}, {end}) reach past the expansion's end, 2**72")
     if not nbits:
         return 0
-    head = seed << 128 | stream << 64  # a block's 24-byte input, counter 0
-    end = start + nbits
+    prefix = (seed << 64 | stream).to_bytes(16, "big")  # seed_be8 || stream_be8
     stop = -(-end // 256)
     sha256 = hashlib.sha256
     raw = bytearray()
     for i in range(start // 256, stop):
-        raw += sha256((head | i).to_bytes(24, "big")).digest()
+        raw += sha256(prefix + i.to_bytes(8, "big")).digest()
     return (int.from_bytes(raw, "big") >> (stop * 256 - end)) & ((1 << nbits) - 1)
 
 
@@ -177,6 +184,8 @@ class BitTape:
         _check_seed(seed, stream)
         if nbits < 0:
             raise ValueError("a tape cannot have a negative length")
+        if nbits > MAX_SEEDED_BITS:
+            raise ValueError(f"a seeded tape holds at most 2**72 bits, not {nbits}")
         tape = cls.__new__(cls)  # no literal string to check
         tape._seed, tape._stream, tape._total, tape._cursor = seed, stream, nbits, 0
         tape._bits, tape._window, tape._end, tape._plan = None, 0, 0, 0
@@ -433,6 +442,7 @@ __all__ = [
     "BiasProfile",
     "BitTape",
     "K_PROFILES",
+    "MAX_SEEDED_BITS",
     "PermutationDistribution",
     "bias_profile",
     "draw_integer",

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .bitsampler import BitTape, paper_k, profile_k, select_subset
+from .bitsampler import MAX_SEEDED_BITS, BitTape, paper_k, profile_k, select_subset
 from .errors import (
     DegenerateParameters,
     InvariantViolation,
@@ -289,12 +289,17 @@ def sampling_error_experiment(
     conditional miss probability, so the comparison is against the actual
     urn compositions rather than any asymptotic bound.  Trial tapes derive
     from (seed, trial, branch), making aggregates independent of execution
-    order.
+    order.  A cell whose b=1 round reads more than a seeded tape's 2**72
+    bits is refused before the urn's good set is scanned.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"the error experiment needs trials >= {MIN_TRIALS}")
     params = sampler_params(n, beta, alpha)
     _require_b1_feasible(params)
+    need0 = round_consumption(0, params, k_profile)
+    need1 = round_consumption(1, params, k_profile)
+    if need1 > MAX_SEEDED_BITS:
+        raise ValueError(f"a b=1 round reads {need1} bits, past a seeded tape's 2**72")
     N, m = params.N, params.m
     good_positions = frozenset(
         i for i in range(1, N + 1) if oracle.member(goedel_inverse(i))
@@ -302,8 +307,6 @@ def sampling_error_experiment(
     good = len(good_positions)
     exact0 = hit_probability(N, good, m)
 
-    need0 = round_consumption(0, params, k_profile)
-    need1 = round_consumption(1, params, k_profile)
     # A thinned urn's good count g takes n + 1 values: price each once.
     miss_given = [1 - hit_probability(n, g, m) for g in range(n + 1)]
     var_given = [float(p) * float(1 - p) for p in miss_given]
@@ -361,42 +364,31 @@ def binary_search_invert(
     """Recover x with g(x) = y from a range decider for the graph language
     {(y, N) : some x <= N has g(x) = y}.
 
-    Uses at most ceil(log2(n_bound)) + 1 decider calls: one to rule the whole
-    range in or out, then bisection for the minimal admissible N, which is
-    the preimage itself.  Bisection asks only bounds in [lo, hi), with every
-    no below lo and every yes at or above hi, so it never asks a bound twice
-    and never records a yes below a no, whatever the decider answers; a
-    decider that is not monotone gets the bisection's answer.  The largest no
-    and the smallest yes are kept as two running values, and a no above a
-    yes, which would mean the search broke its own invariant, raises
-    InvariantViolation.
+    Uses at most ceil(log2(n_bound)) + 1 decider calls: the first asks
+    n_bound, which rules the whole range in or out, and the rest bisect for
+    the minimal admissible N, which is the preimage itself.  The loop's two
+    bounds are its running values: every no lies below lo, so lo - 1 is the
+    largest no (0 before any), and every yes at or above hi, so hi is the
+    smallest yes (n_bound + 1 before any).  Each question lies in [lo, hi),
+    so the search never asks a bound twice and never records a yes below a
+    no, whatever the decider answers; a decider that is not monotone gets
+    the bisection's answer.  A no above a yes, which would mean the search
+    broke its own invariant, raises InvariantViolation.
     """
     if n_bound < 1:
         raise ValueError("the search range must be nonempty")
     queries = 0
-    largest_no, smallest_yes = 0, n_bound + 1  # outside [1, n_bound]
-
-    def ask(bound: int) -> bool:
-        nonlocal queries, largest_no, smallest_yes
-        queries += 1
-        ans = bool(decider(y, bound))
-        if ans:
-            smallest_yes = min(smallest_yes, bound)
-        else:
-            largest_no = max(largest_no, bound)
-        _check_monotone(largest_no, smallest_yes)
-        return ans
-
-    if not ask(n_bound):
-        return InversionResult(None, queries)
-    lo, hi = 1, n_bound
+    lo, hi = 1, n_bound + 1
+    bound = n_bound
     while lo < hi:
-        mid = (lo + hi) // 2
-        if ask(mid):
-            hi = mid
+        queries += 1
+        if decider(y, bound):
+            hi = bound
         else:
-            lo = mid + 1
-    return InversionResult(lo, queries)
+            lo = bound + 1
+        _check_monotone(lo - 1, hi)
+        bound = (lo + hi) // 2
+    return InversionResult(lo if hi <= n_bound else None, queries)
 
 
 def _check_monotone(largest_no: int, smallest_yes: int) -> None:

@@ -86,9 +86,11 @@ def _threshold_walk(N: int, good: int) -> tuple[int, int, int]:
     bad = N - good
     miss = total = 1
     k = 0
-    while k < bad and 2 * miss * (bad - k) >= total * (N - k):
-        miss *= bad - k
-        total *= N - k
+    while k < bad:
+        miss_next, total_next = miss * (bad - k), total * (N - k)
+        if 2 * miss_next < total_next:
+            break
+        miss, total = miss_next, total_next
         k += 1
     return k, miss, total
 

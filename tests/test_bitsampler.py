@@ -100,6 +100,27 @@ def test_seed_expansion_matches_documented_construction():
         expand_seed_bits(2**64, 8)
 
 
+def test_seed_expansion_ends_at_bit_2_to_the_72():
+    # The 8-byte counter numbers 2**64 blocks of 256 bits.  The last block is
+    # hashed from its three documented fields.  A read past it would carry
+    # the counter into the stream field, so it is refused.
+    seed, stream, last = 1, 5, 2**64 - 1
+    block = hashlib.sha256(
+        seed.to_bytes(8, "big") + stream.to_bytes(8, "big") + last.to_bytes(8, "big")
+    ).digest()
+    last_bits = int.from_bytes(block, "big")
+    assert expand_seed_bits(seed, 256, stream, 2**72 - 256) == last_bits
+    assert expand_seed_bits(seed, 0, stream, 2**72) == 0
+    for start, nbits in ((2**72, 256), (2**72 - 1, 2), (2**72 + 1, 0), (2**80, 8)):
+        with pytest.raises(ValueError, match="past the expansion's end"):
+            expand_seed_bits(seed, nbits, 0, start)
+    tape = BitTape.from_seed(seed, 2**72, stream)
+    tape.skip(2**72 - 1)
+    assert tape.take(1) == last_bits & 1
+    with pytest.raises(ValueError, match=r"at most 2\*\*72 bits"):
+        BitTape.from_seed(seed, 2**72 + 1, stream)
+
+
 def test_a_zero_bit_expansion_hashes_no_block(monkeypatch):
     blocks = []
     monkeypatch.setattr(bitsampler, "hashlib", counting_hashlib(blocks))

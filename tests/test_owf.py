@@ -486,6 +486,20 @@ def test_experiment_refuses_an_infeasible_cell_before_any_work():
         sampling_error_experiment(4, 3, oracle, 1000, 1)
 
 
+def test_experiment_refuses_a_cell_past_the_seeded_expansion_before_any_work():
+    # n=65, beta=2 at the paper profile: N = 65**4 and a b=0 round alone reads
+    # N*(N**2 + 2), about 2**72.3 bits, more than a seed expands to.  The
+    # refusal comes before the membership scan of the 17.9 million-index urn.
+    def member(word):
+        raise AssertionError("member called")
+
+    oracle = dataclasses.replace(SQ, member=member)
+    params = sampler_params(65, 2, 4)
+    assert params.b1_feasible and owf.round_consumption(0, params, "paper") > 2**72
+    with pytest.raises(ValueError, match=r"past a seeded tape's 2\*\*72"):
+        sampling_error_experiment(65, 2, oracle, 1000, 1, alpha=4, k_profile="paper")
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
 def test_criterion_value_has_expectation_one(n):
     # The b=1 branch's thinned urn holds g good elements with probability

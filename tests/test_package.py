@@ -496,3 +496,32 @@ def test_only_bittape_touches_its_state():
     assert slots == {
         "_seed", "_stream", "_total", "_cursor", "_bits", "_window", "_end", "_plan"
     }
+
+
+def _isqrt_uses(path: Path) -> list[str]:
+    """Each ``math.isqrt`` attribute and ``from math import isqrt`` in a
+    source file, outside ``words.iroot``."""
+    uses = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) == (
+            "words.py", "iroot"
+        ):
+            return
+        if isinstance(node, ast.Attribute) and node.attr == "isqrt":
+            uses.append(f"{path.name}:{node.lineno}: .isqrt")
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name == "isqrt" for alias in node.names):
+                uses.append(f"{path.name}:{node.lineno}: from math import isqrt")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(_parse(path))
+    return uses
+
+
+def test_iroot_is_the_only_root_routine():
+    # math.isqrt appears only inside words.iroot: every other integer root
+    # in the package goes through iroot.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [use for path in paths for use in _isqrt_uses(path)] == []
